@@ -46,8 +46,7 @@ from .spectra import (
     Spectrum,
     SpectrumLine,
     corner_count_closed_form,
-    count_invertible_corner,
-    count_invertible_diag_pair,
+    count_invertible_pinned,
     diag_pair_count_closed_form,
     eigenvalue_charsum,
     eigenvalue_charsum_rank,

@@ -23,7 +23,7 @@ from . import gap as gap_mod
 from . import graph as graph_mod
 from . import matrices, spectra
 from .errors import SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext, field, load_modulus_table, prime_power
+from .fields import FieldContext, field, is_prime, load_modulus_table, prime_power
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -94,6 +94,8 @@ def _resolve_pk(args) -> tuple[int, int]:
             raise UsageError(f"{args.q} is not a prime power")
         return pk
     if args.p is not None:
+        if not is_prime(args.p):
+            raise UsageError(f"--p {args.p} is not a prime")
         return (args.p, args.k)
     raise UsageError("a field is required: pass --q or --p (with optional --k)")
 
@@ -103,7 +105,12 @@ def _resolve_context(args) -> FieldContext:
     modulus = None
     if args.modulus:
         modulus = [int(c) for c in args.modulus.split(",")]
-    table = load_modulus_table(args.modulus_file) if args.modulus_file else None
+    table = None
+    if args.modulus_file:
+        try:
+            table = load_modulus_table(args.modulus_file)
+        except OSError as exc:
+            raise UsageError(f"cannot read modulus file {args.modulus_file}: {exc}")
     return field(p, k, modulus=modulus, modulus_table=table)
 
 
@@ -248,27 +255,19 @@ def _cmd_charsum(args) -> int:
     enum_cap, _ = _caps(args)
     ctx = _resolve_context(args)
     n = args.n
-    results = []
     if args.label_index is not None:
-        label = matrices.matrix_from_index(ctx, n, args.label_index)
-        results.append(
-            {
-                "label_index": args.label_index,
-                "rank": label.rank(),
-                "eigenvalue": spectra.eigenvalue_charsum(label, cap=enum_cap),
-            }
-        )
+        labels = [matrices.matrix_from_index(ctx, n, args.label_index)]
     else:
         ranks = [args.rank] if args.rank is not None else list(range(n + 1))
-        for r in ranks:
-            label = matrices.rank_representative(ctx, n, r)
-            results.append(
-                {
-                    "label_index": matrices.matrix_to_index(label),
-                    "rank": r,
-                    "eigenvalue": spectra.eigenvalue_charsum(label, cap=enum_cap),
-                }
-            )
+        labels = [matrices.rank_representative(ctx, n, r) for r in ranks]
+    results = [
+        {
+            "label_index": matrices.matrix_to_index(label),
+            "rank": label.rank(),
+            "eigenvalue": spectra.eigenvalue_charsum(label, cap=enum_cap),
+        }
+        for label in labels
+    ]
     if args.format == "json":
         _print_json({"q": ctx.q, "n": n, "results": results})
     else:
@@ -284,72 +283,58 @@ def _cmd_charsum(args) -> int:
 # census
 
 
+def _census_row(census: int, closed: int, **key) -> dict:
+    return {**key, "census": census, "closed_form": closed, "equal": census == closed}
+
+
+def _census_line(label: str, row: dict) -> str:
+    flag = "ok" if row["equal"] else "MISMATCH"
+    return f"  {label}: census {row['census']}, closed form {row['closed_form']} [{flag}]"
+
+
 def _cmd_census(args) -> int:
     enum_cap, _ = _caps(args)
     ctx = _resolve_context(args)
     n = args.n
     q = ctx.q
     census = matrices.rank_census(ctx, n, cap=enum_cap)
-    ranks = []
-    for r in range(n + 1):
-        closed = spectra.rank_count(q, n, r)
-        ranks.append(
-            {"rank": r, "census": census[r], "closed_form": closed, "equal": census[r] == closed}
-        )
+    ranks = [_census_row(census[r], spectra.rank_count(q, n, r), rank=r) for r in range(n + 1)]
     payload: dict = {"q": q, "n": n, "ranks": ranks}
 
     if n == 3:
-        corner = []
-        for a in ctx.elements():
-            counted = spectra.count_invertible_corner(ctx, a, n=n, cap=enum_cap)
-            closed = spectra.corner_count_closed_form(q, a.is_zero())
-            corner.append(
-                {
-                    "alpha": list(a.coeffs),
-                    "census": counted,
-                    "closed_form": closed,
-                    "equal": counted == closed,
-                }
+        grid = spectra.count_invertible_pinned(ctx, n=n, cap=enum_cap)
+        elements = list(ctx.elements())
+        payload["corner"] = [
+            _census_row(
+                sum(grid[a.index]),
+                spectra.corner_count_closed_form(q, a.is_zero()),
+                alpha=list(a.coeffs),
             )
-        pairs = []
-        for a in ctx.elements():
-            for b in ctx.elements():
-                counted = spectra.count_invertible_diag_pair(ctx, a, b, n=n, cap=enum_cap)
-                closed = spectra.diag_pair_count_closed_form(q, a.is_zero(), b.is_zero())
-                pairs.append(
-                    {
-                        "alpha": list(a.coeffs),
-                        "beta": list(b.coeffs),
-                        "census": counted,
-                        "closed_form": closed,
-                        "equal": counted == closed,
-                    }
-                )
-        payload["corner"] = corner
-        payload["diag_pairs"] = pairs
+            for a in elements
+        ]
+        payload["diag_pairs"] = [
+            _census_row(
+                grid[a.index][b.index],
+                spectra.diag_pair_count_closed_form(q, a.is_zero(), b.is_zero()),
+                alpha=list(a.coeffs),
+                beta=list(b.coeffs),
+            )
+            for a in elements
+            for b in elements
+        ]
 
     if args.format == "json":
         _print_json(payload)
     else:
         print(f"rank census, q={q}, n={n}")
         for row in ranks:
-            flag = "ok" if row["equal"] else "MISMATCH"
-            print(
-                f"  rank {row['rank']}: census {row['census']}, "
-                f"closed form {row['closed_form']} [{flag}]"
-            )
+            print(_census_line(f"rank {row['rank']}", row))
         if n == 3:
             print("invertible counts with pinned (0,0) entry:")
             for row in payload["corner"]:
-                flag = "ok" if row["equal"] else "MISMATCH"
-                print(
-                    f"  alpha={row['alpha']}: census {row['census']}, "
-                    f"closed form {row['closed_form']} [{flag}]"
-                )
-    all_equal = all(r["equal"] for r in ranks) and all(
-        r["equal"] for r in payload.get("corner", []) + payload.get("diag_pairs", [])
-    )
-    return EXIT_OK if all_equal else EXIT_CHECK_FAILED
+                print(_census_line(f"alpha={row['alpha']}", row))
+    rows = ranks + payload.get("corner", []) + payload.get("diag_pairs", [])
+    return EXIT_OK if all(row["equal"] for row in rows) else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +359,7 @@ def _cmd_gap(args) -> int:
         xs = _read_subset(args.subset_file, ctx, n)
         ys = _read_subset(args.subset_file_y, ctx, n) if args.subset_file_y else xs
         reports.append(gap_mod.check_spectral_gap(xs, ys))
-    elif args.random_size:
+    elif args.random_size is not None:
         trials = args.trials
         if trials < 1:
             raise UsageError("--trials must be >= 1")
@@ -410,7 +395,11 @@ def _cmd_export_graph(args) -> int:
     ctx = _resolve_context(args)
     g = graph_mod.build_graph(ctx, args.n, max_order=graph_cap)
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}")
+        with fh:
             count = graph_mod.export_edges(g, fh)
         print(f"wrote {count} edges ({g.order} vertices) to {args.output}", file=sys.stderr)
     else:

@@ -20,7 +20,7 @@ from typing import IO, Iterator
 from .cyclotomic import Cyclotomic
 from .errors import EigenvectorMismatchError, SizeTooLargeError
 from .fields import FieldContext
-from .matrices import Matrix, _det_flat, _iter_flats, _rank_flat, gl_order, matrix_count
+from .matrices import Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count
 from .characters import _exponent_of, _label_terms
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
 
@@ -158,7 +158,7 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
     for flat in _iter_flats(ctx, n):
         label = Matrix(ctx, n, flat)
         lam = verify_eigenvector(graph, label)
-        r = _rank_flat(ctx, n, flat)
+        r = _eliminate(ctx, n, flat)[0]
         if r in by_rank:
             if by_rank[r] != lam:
                 raise AssertionError(

@@ -12,6 +12,12 @@ other words the (0,0) entry varies fastest, mirroring the field's own
 constant-term-fastest element order.  The index <-> matrix maps are
 exposed and invertible, so stored vertex/subset indices are reproducible
 bit-for-bit across runs.
+
+Exhaustive work reads one cached table per (field, n), a rank byte per
+enumeration index: the rank census is its histogram and GL_n(F_q) is the
+stream of matrices whose byte is n.  ``Matrix.rank`` and determinants for
+n > 3 share one elimination routine; the unrolled n <= 3 determinant is
+kept apart, so the graph built from it checks the table independently.
 """
 
 from __future__ import annotations
@@ -159,7 +165,7 @@ class Matrix:
         return FieldElement(self.ctx, _det_flat(self.ctx, self.n, self.flat))
 
     def rank(self) -> int:
-        return _rank_flat(self.ctx, self.n, self.flat)
+        return _eliminate(self.ctx, self.n, self.flat)[0]
 
     def is_invertible(self) -> bool:
         return _det_flat(self.ctx, self.n, self.flat) != 0
@@ -208,52 +214,25 @@ def _det_flat(ctx: FieldContext, n: int, flat: Sequence[int]) -> int:
         m2 = mul[b][add[mul[d][i]][neg[mul[f][g]]]]
         m3 = mul[c][add[mul[d][h]][neg[mul[e][g]]]]
         return add[add[m1][neg[m2]]][m3]
-    return _det_eliminate(ctx, n, flat)
+    return _eliminate(ctx, n, flat)[1]
 
 
-def _det_eliminate(ctx: FieldContext, n: int, flat: Sequence[int]) -> int:
+def _eliminate(ctx: FieldContext, n: int, flat: Sequence[int]) -> tuple[int, int]:
+    """(rank, det) by row echelon form, first-nonzero pivot in column order."""
     add, mul, neg, inv = ctx._add, ctx._mul, ctx._neg, ctx._inv
     rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-    det = 1
+    rank, det = 0, 1
     for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
         if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = 0
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
             det = neg[det]
-        pv = rows[col][col]
+        pv = rows[rank][col]
         det = mul[det][pv]
         pv_inv = inv[pv]
-        for r in range(col + 1, n):
-            factor = rows[r][col]
-            if factor:
-                scale = mul[factor][pv_inv]
-                rows[r] = [
-                    add[x][neg[mul[scale][y]]] for x, y in zip(rows[r], rows[col])
-                ]
-    return det
-
-
-def _rank_flat(ctx: FieldContext, n: int, flat: Sequence[int]) -> int:
-    """Row-echelon rank, first-nonzero pivot in column order."""
-    add, mul, neg, inv = ctx._add, ctx._mul, ctx._neg, ctx._inv
-    rows = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv_inv = inv[rows[rank][col]]
         for r in range(rank + 1, n):
             factor = rows[r][col]
             if factor:
@@ -262,9 +241,7 @@ def _rank_flat(ctx: FieldContext, n: int, flat: Sequence[int]) -> int:
                     add[x][neg[mul[scale][y]]] for x, y in zip(rows[r], rows[rank])
                 ]
         rank += 1
-        if rank == n:
-            break
-    return rank
+    return rank, det
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +307,57 @@ def enumerate_invertible(
 ) -> Iterator[Matrix]:
     """The subsequence of ``enumerate_matrices`` with nonzero determinant."""
     _require_under_cap(ctx, n, cap)
-    for flat in _iter_flats(ctx, n):
-        if _det_flat(ctx, n, flat):
-            yield Matrix(ctx, n, flat)
+    for flat in _gl_flats(ctx, n):
+        yield Matrix(ctx, n, flat)
 
 
 @functools.lru_cache(maxsize=2)
-def _invertible_flats(ctx: FieldContext, n: int) -> tuple:
-    """Flat tuples of every invertible matrix, cached.
+def _rank_table(ctx: FieldContext, n: int) -> bytes:
+    """The rank of every matrix: byte ``t`` is the rank of matrix ``t``.
 
-    Character sums take several passes over the same group (one per label
-    or rank representative); filtering by determinant once and reusing the
-    list keeps those passes linear in |GL| instead of q^(n^2).
+    Rows 0..n-2 are chosen one at a time, carrying their span as a
+    frozenset of row indices (a row's index is its own n digits of the
+    matrix index).  The last row is the most significant digit block, so
+    the q^n completions of one prefix sit at stride q^(n(n-1)) and take
+    one slice assignment: rank(prefix) inside the span, one more outside.
+
+    Callers check their own enumeration cap first; the table is uncapped.
     """
-    _require_under_cap(ctx, n, DEFAULT_ENUM_CAP)
-    det = _det_flat
-    return tuple(flat for flat in _iter_flats(ctx, n) if det(ctx, n, flat))
+    q, size = ctx.q, ctx.q**n
+    add, mul = ctx._add, ctx._mul
+    vectors = [rev[::-1] for rev in itertools.product(range(q), repeat=n)]
+    index = {v: u for u, v in enumerate(vectors)}
+    table = bytearray(q ** (n * n))
+    grown: dict[tuple[frozenset, int], frozenset] = {}
+    last_rows: dict[frozenset, bytes] = {}
+
+    def extend(span: frozenset, u: int) -> frozenset:
+        if u not in span and (span, u) not in grown:
+            grown[span, u] = frozenset(
+                index[tuple(add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u]))]
+                for s in span
+                for c in range(q)
+            )
+        return grown.get((span, u), span)
+
+    def fill(span: frozenset, row: int, offset: int) -> None:
+        if row < n - 1:
+            for u in range(size):
+                fill(extend(span, u), row + 1, offset + u * size**row)
+            return
+        if span not in last_rows:
+            rank = next(r for r in range(n) if q**r == len(span))
+            last_rows[span] = bytes(rank + (u not in span) for u in range(size))
+        table[offset :: size ** (n - 1)] = last_rows[span]
+
+    fill(frozenset([0]), 0, 0)
+    return bytes(table)
+
+
+def _gl_flats(ctx: FieldContext, n: int) -> Iterator[tuple[int, ...]]:
+    """``_iter_flats`` filtered to the invertible matrices by the rank table."""
+    mask = _rank_table(ctx, n).translate(bytes(r == n for r in range(256)))
+    return itertools.compress(_iter_flats(ctx, n), mask)
 
 
 def gl_order(q: int, n: int) -> int:
@@ -362,10 +374,8 @@ def gl_order(q: int, n: int) -> int:
 def rank_census(ctx: FieldContext, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
     """Exhaustive count of matrices by rank: counts[r] for r = 0..n."""
     _require_under_cap(ctx, n, cap)
-    counts = [0] * (n + 1)
-    for flat in _iter_flats(ctx, n):
-        counts[_rank_flat(ctx, n, flat)] += 1
-    return counts
+    table = _rank_table(ctx, n)
+    return [table.count(r) for r in range(n + 1)]
 
 
 def matrices_from_index_file(

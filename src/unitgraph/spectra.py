@@ -10,7 +10,9 @@ deliberately separate so they can cross-check each other:
 * brute force -- for any n small enough to enumerate, the eigenvalue of a
   label is the exact character sum over all invertible matrices, computed
   by histogramming trace exponents and contracting against roots of unity
-  once.
+  once.  The invertible matrices, and the pinned-entry counts below, are
+  read off the cached rank table of ``matrices``; the closed forms never
+  touch it.
 
 The closed forms for n = 3, by label rank r:
 
@@ -30,11 +32,12 @@ from dataclasses import dataclass
 from .characters import _label_terms
 from .cyclotomic import Cyclotomic
 from .errors import InexactDivisionError
-from .fields import FieldContext, FieldElement
+from .fields import FieldContext
 from .matrices import (
     DEFAULT_ENUM_CAP,
     Matrix,
-    _invertible_flats,
+    _gl_flats,
+    _rank_table,
     _require_under_cap,
     rank_representative,
 )
@@ -222,8 +225,8 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     trace_tab = ctx._trace
     add, mul = ctx._add, ctx._mul
     if not terms:
-        return len(_invertible_flats(ctx, n))
-    for flat in _invertible_flats(ctx, n):
+        return _rank_table(ctx, n).count(n)
+    for flat in _gl_flats(ctx, n):
         acc = 0
         for pos, a in terms:
             acc = add[acc][mul[a][flat[pos]]]
@@ -249,30 +252,28 @@ def spectrum_brute_force(ctx: FieldContext, n: int, cap: int = DEFAULT_ENUM_CAP)
 # proof-internal counts: invertible matrices with pinned diagonal entries
 
 
-def count_invertible_corner(
-    ctx: FieldContext, alpha: FieldElement, n: int = 3, cap: int = DEFAULT_ENUM_CAP
-) -> int:
-    """|{B in GL_n(F_q) : B[0,0] = alpha}| by exhaustive filter."""
-    _require_under_cap(ctx, n, cap)
-    a = ctx.element(alpha).index
-    return sum(1 for flat in _invertible_flats(ctx, n) if flat[0] == a)
+def count_invertible_pinned(
+    ctx: FieldContext, n: int = 3, cap: int = DEFAULT_ENUM_CAP
+) -> list[list[int]]:
+    """N[a][b] = |{B in GL_n(F_q) : B[0,0] = a, B[1,1] = b}|, by element index.
 
-
-def count_invertible_diag_pair(
-    ctx: FieldContext,
-    alpha: FieldElement,
-    beta: FieldElement,
-    n: int = 3,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> int:
-    """|{B in GL_n(F_q) : B[0,0] = alpha, B[1,1] = beta}| by exhaustive filter."""
+    One pass over the rank table: B[0,0] is digit 0 of the enumeration
+    index, so ``table[a::q]`` pins it to a, and B[1,1] (digit n+1) is then
+    constant on each run of q^n consecutive bytes.  The corner count for a
+    is ``sum(N[a])``.
+    """
+    if n < 2:
+        raise ValueError(f"pinning B[1,1] needs n >= 2, got {n}")
     _require_under_cap(ctx, n, cap)
-    a = ctx.element(alpha).index
-    b = ctx.element(beta).index
-    pos_b = n + 1
-    return sum(
-        1 for flat in _invertible_flats(ctx, n) if flat[0] == a and flat[pos_b] == b
-    )
+    q = ctx.q
+    table = _rank_table(ctx, n)
+    block = q**n
+    grid = [[0] * q for _ in range(q)]
+    for a in range(q):
+        pinned = table[a::q]
+        for start in range(0, len(pinned), block):
+            grid[a][start // block % q] += pinned[start : start + block].count(n)
+    return grid
 
 
 def corner_count_closed_form(q: int, alpha_is_zero: bool) -> int:

@@ -17,8 +17,7 @@ from unitgraph import (
     build_graph,
     char_exponents,
     check_spectral_gap,
-    count_invertible_corner,
-    count_invertible_diag_pair,
+    count_invertible_pinned,
     eigenvalue_charsum_rank,
     eigenvalue_closed_form,
     enumerate_matrices,
@@ -92,19 +91,15 @@ def test_criterion_5_pinned_entry_counts():
     for ctx in (F2, F3):
         q = ctx.q
         tail = (q**3 - q) * (q**3 - q**2)
-        n0 = count_invertible_corner(ctx, ctx.zero())
-        n1 = count_invertible_corner(ctx, ctx.one())
+        grid = count_invertible_pinned(ctx)
+        zero, one = ctx.zero().index, ctx.one().index
+        n0 = sum(grid[zero])
+        n1 = sum(grid[one])
         assert n0 == (q**2 - 1) * tail
         assert n1 == q**2 * tail
         assert n0 - n1 == eigenvalue_closed_form(q, 1)
-        assert count_invertible_diag_pair(ctx, ctx.zero(), ctx.one()) == (
-            count_invertible_diag_pair(ctx, ctx.one(), ctx.zero())
-        )
-        opposite = {
-            count_invertible_diag_pair(ctx, a, -a)
-            for a in ctx.elements()
-            if not a.is_zero()
-        }
+        assert grid[zero][one] == grid[one][zero]
+        opposite = {grid[a.index][(-a).index] for a in ctx.elements() if not a.is_zero()}
         assert len(opposite) == 1
     report(5, "pinned-entry counts and their symmetries, q in {2,3}", started)
 

@@ -1,6 +1,7 @@
 """CLI behavior: output schemas, exit codes, determinism, caps."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +203,59 @@ def test_modulus_file_option(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["q"] == 4
+
+
+def test_spectrum_rejects_non_prime_p(capsys):
+    for argv in (["--p", "6", "--k", "2"], ["--p", "4"], ["--p", "4", "--n", "2"]):
+        code, out, err = run(capsys, "spectrum", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "not a prime" in err and len(err.splitlines()) == 1
+
+
+def test_missing_modulus_file_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-table.txt"
+    code, _, err = run(capsys, "verify", "--q", "2", "--n", "1", "--modulus-file", str(missing))
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_unwritable_export_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "x"
+    code, _, err = run(capsys, "export-graph", "--q", "2", "--n", "2", "--output", str(target))
+    assert code == 2
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_gap_random_size_zero_reaches_the_library(capsys):
+    code, _, err = run(capsys, "gap", "--q", "2", "--random-size", "0")
+    assert code == 2
+    assert "subsets must be nonempty" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# stdout of the README examples (plus two JSON reports); these bytes are part
+# of the CLI contract, so any difference is a regression
+GOLDEN_RUNS = {
+    "spectrum_q2.txt": ["spectrum", "--q", "2"],
+    "spectrum_q3.json": ["spectrum", "--q", "3", "--format", "json"],
+    "spectrum_q2_n2.txt": ["spectrum", "--q", "2", "--n", "2"],
+    "verify_q2.txt": ["verify", "--q", "2"],
+    "verify_q4.txt": ["verify", "--q", "4"],
+    "charsum_q2_rank1.txt": ["charsum", "--q", "2", "--rank", "1"],
+    "charsum_q2_label511.txt": ["charsum", "--q", "2", "--label-index", "511"],
+    "census_q2.txt": ["census", "--q", "2"],
+    "gap_q2_random.txt": ["gap", "--q", "2", "--random-size", "75", "--trials", "1000", "--seed", "7"],
+    "gap_q2_subset.txt": ["gap", "--q", "2", "--subset-file", str(GOLDEN / "my.idx")],
+    "export_graph_q2_n2.txt": ["export-graph", "--q", "2", "--n", "2"],
+    "census_q3.json": ["census", "--q", "3", "--format", "json"],
+    "charsum_q3.json": ["charsum", "--q", "3", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_stdout(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

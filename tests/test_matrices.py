@@ -12,6 +12,7 @@ from unitgraph import (
     enumerate_invertible,
     enumerate_matrices,
     field,
+    field_of_order,
     gl_order,
     matrix_count,
     matrix_from_index,
@@ -19,7 +20,7 @@ from unitgraph import (
     rank_census,
     rank_representative,
 )
-from unitgraph.matrices import matrices_from_index_file
+from unitgraph.matrices import _det_flat, _eliminate, _rank_table, matrices_from_index_file
 
 F2 = field(2)
 F3 = field(3)
@@ -180,6 +181,24 @@ def test_rank_census_small():
     assert rank_census(F2, 2) == [1, 9, 6]
     assert rank_census(F3, 2) == [1, 32, 48]
     assert rank_census(F2, 3) == [1, 49, 294, 168]
+
+
+def test_rank_table_matches_elimination():
+    for q, n in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)]:
+        ctx = field_of_order(q)
+        table = _rank_table(ctx, n)
+        assert len(table) == matrix_count(ctx, n)
+        for t, m in enumerate(enumerate_matrices(ctx, n)):
+            rank, det = _eliminate(ctx, n, m.flat)
+            assert table[t] == rank, (q, n, t)
+            if n <= 3:
+                assert det == _det_flat(ctx, n, m.flat), (q, n, t)
+
+
+def test_gl_mask_matches_unrolled_determinant():
+    mask = _rank_table(F4, 3).translate(bytes(r == 3 for r in range(256)))
+    dets = bytes(_det_flat(F4, 3, m.flat) != 0 for m in enumerate_matrices(F4, 3))
+    assert mask == dets
 
 
 def test_index_file_parsing():

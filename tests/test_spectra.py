@@ -16,8 +16,7 @@ from unitgraph import (
     Spectrum,
     SpectrumLine,
     corner_count_closed_form,
-    count_invertible_corner,
-    count_invertible_diag_pair,
+    count_invertible_pinned,
     diag_pair_count_closed_form,
     eigenvalue_charsum,
     eigenvalue_charsum_rank,
@@ -206,6 +205,14 @@ def test_spectrum_identities_sweep():
         assert len({l.eigenvalue for l in s.lines}) == 4
 
 
+def test_charsum_honours_the_callers_cap(monkeypatch):
+    # the GL pass reads the rank table, which re-checks no cap of its own
+    import unitgraph.matrices as matrices
+
+    monkeypatch.setattr(matrices, "DEFAULT_ENUM_CAP", 100)
+    assert eigenvalue_charsum(rank_representative(F2, 3, 1), cap=1000) == -24
+
+
 def test_spectrum_brute_force_n2():
     # q = 3, n = 2: lambda_1 = N(0) - N(1) = 12 - 18 = -6 by column counting;
     # the top line is |GL_2(F_3)| = 48 and the zero-trace identity then
@@ -250,9 +257,15 @@ def test_solve_top_rank_eigenvalue():
 # pinned-entry counts inside the rank-1/rank-2 derivations
 
 
+def corner(grid, a):
+    """|{B in GL_3 : B[0,0] = a}|, the row sum of the pinned grid."""
+    return sum(grid[a.index])
+
+
 def test_corner_counts_q2_frozen():
-    assert count_invertible_corner(F2, F2.zero()) == 72
-    assert count_invertible_corner(F2, F2.one()) == 96
+    grid = count_invertible_pinned(F2)
+    assert corner(grid, F2.zero()) == 72
+    assert corner(grid, F2.one()) == 96
     assert corner_count_closed_form(2, True) == 72
     assert corner_count_closed_form(2, False) == 96
 
@@ -260,24 +273,26 @@ def test_corner_counts_q2_frozen():
 def test_corner_counts_vs_everything():
     for ctx in (F2, F3):
         q = ctx.q
+        grid = count_invertible_pinned(ctx)
         total = 0
         for a in ctx.elements():
-            counted = count_invertible_corner(ctx, a)
+            counted = corner(grid, a)
             assert counted == corner_count_closed_form(q, a.is_zero())
             assert counted == brute_pinned_count_prime(q, {0: a.index})
             total += counted
         assert total == gl_order(q, 3)  # the counts partition the group
-        n0 = count_invertible_corner(ctx, ctx.zero())
-        n1 = count_invertible_corner(ctx, ctx.one())
+        n0 = corner(grid, ctx.zero())
+        n1 = corner(grid, ctx.one())
         assert n0 - n1 == eigenvalue_closed_form(q, 1)
 
 
 def test_diag_pair_counts():
     for ctx in (F2, F3):
         q = ctx.q
+        grid = count_invertible_pinned(ctx)
         for a in ctx.elements():
             for b in ctx.elements():
-                counted = count_invertible_diag_pair(ctx, a, b)
+                counted = grid[a.index][b.index]
                 assert counted == diag_pair_count_closed_form(q, a.is_zero(), b.is_zero())
                 assert counted == brute_pinned_count_prime(q, {0: a.index, 1: b.index})
 
@@ -287,25 +302,23 @@ def test_diag_pair_zero_sum_aggregate():
     # at q = 3, matching q^8 - q^7 - q^6 + 2q^4 - q^3
     for ctx in (F2, F3):
         q = ctx.q
+        grid = count_invertible_pinned(ctx)
         agg = 0
         for a in ctx.elements():
-            agg += count_invertible_diag_pair(ctx, a, -a)
+            agg += grid[a.index][(-a).index]
         assert agg == q**8 - q**7 - q**6 + 2 * q**4 - q**3
-    assert sum(count_invertible_diag_pair(F2, a, -a) for a in F2.elements()) == 88
+    grid = count_invertible_pinned(F2)
+    assert sum(grid[a.index][(-a).index] for a in F2.elements()) == 88
 
 
 def test_diag_pair_symmetries():
     for ctx in (F2, F3):
         zero, one = ctx.zero(), ctx.one()
-        assert count_invertible_diag_pair(ctx, zero, one) == count_invertible_diag_pair(
-            ctx, one, zero
-        )
+        grid = count_invertible_pinned(ctx)
+        assert grid[zero.index][one.index] == grid[one.index][zero.index]
     # N(alpha, -alpha) is constant over nonzero alpha
-    vals = {
-        count_invertible_diag_pair(F3, a, -a)
-        for a in F3.elements()
-        if not a.is_zero()
-    }
+    grid = count_invertible_pinned(F3)
+    vals = {grid[a.index][(-a).index] for a in F3.elements() if not a.is_zero()}
     assert len(vals) == 1
 
 
@@ -313,10 +326,11 @@ def test_rank2_eigenvalue_aggregate_identity():
     # lambda_2 = sum_{a+b=0} N(a,b) - 2 N(0,1) - sum_{a not in {0,1}} N(a, 1-a)
     for ctx in (F2, F3):
         q = ctx.q
-        zero_sum = sum(count_invertible_diag_pair(ctx, a, -a) for a in ctx.elements())
-        n01 = count_invertible_diag_pair(ctx, ctx.zero(), ctx.one())
+        grid = count_invertible_pinned(ctx)
+        zero_sum = sum(grid[a.index][(-a).index] for a in ctx.elements())
+        n01 = grid[ctx.zero().index][ctx.one().index]
         tail = sum(
-            count_invertible_diag_pair(ctx, a, ctx.one() - a)
+            grid[a.index][(ctx.one() - a).index]
             for a in ctx.elements()
             if not a.is_zero() and a != ctx.one()
         )
