@@ -8,11 +8,15 @@ data (field elements / matrices), so they serialize into reports.
 
 Character values are exact ``Cyclotomic`` numbers.  For bulk work the
 functions below also expose the underlying exponent (an integer in
-[0, p)), which is what the enumeration loops histogram over.
+[0, p)), which is what the enumeration loops histogram over; over all
+matrices at once they are one ``bytes`` object (up to p = 256), built
+digit by digit.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic
@@ -48,11 +52,10 @@ def char_vector(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> list[Cyclotomic]:
 
 
 def char_exponents(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
-    """Trace exponents of the character at every matrix, in enumeration order."""
+    """The character's trace exponent at every matrix, in order (``_exponents``)."""
     ctx, n = label.ctx, label.n
     _require_under_cap(ctx, n, cap)
-    terms = _label_terms(ctx, n, label.flat)
-    return [_exponent_of(ctx, terms, flat) for flat in _iter_flats(ctx, n)]
+    return list(_exponents(ctx, n, label.flat, n * n))
 
 
 # ---------------------------------------------------------------------------
@@ -81,3 +84,42 @@ def _exponent_of(ctx: FieldContext, terms: Sequence[tuple[int, int]], flat: Sequ
     for pos, a in terms:
         acc = add[acc][mul[a][flat[pos]]]
     return ctx._trace[acc]
+
+
+# exponents lie in [0, p), so they fit one byte each up to this p; only
+# prime fields of order 257..4093 are past it
+_BYTE_MAX_P = 256
+
+
+@functools.lru_cache(maxsize=8)
+def _shift_tables(p: int) -> list[bytes]:
+    """``bytes.translate`` tables adding s mod p to every exponent byte."""
+    return [bytes((e + s) % p for e in range(256)) for s in range(p)]
+
+
+def _exponents(ctx: FieldContext, n: int, label_flat: Sequence[int], digits: int) -> Sequence[int]:
+    """Entry t is the label's trace exponent at matrix t, for t < q^digits.
+
+    ``digits`` low digit positions are covered (n^2 for every matrix).
+    Up to p = ``_BYTE_MAX_P`` the result is one ``bytes`` object, built
+    digit by digit: position pos of a matrix index is the entry b[j,i]
+    that meets the label entry a[i,j] in tr(A B), so appending position
+    pos maps the exponents e of the lower positions to e + Tr(a[i,j] * d)
+    for each digit d: one translated copy per d, or q plain copies when
+    a[i,j] = 0.  A larger p gets a list, one matrix at a time.
+    """
+    if ctx.p > _BYTE_MAX_P:
+        terms = _label_terms(ctx, n, label_flat)
+        flats = itertools.islice(_iter_flats(ctx, n), ctx.q**digits)
+        return [_exponent_of(ctx, terms, flat) for flat in flats]
+    shift = _shift_tables(ctx.p)
+    mul, trace = ctx._mul, ctx._trace
+    exps = b"\0"
+    for pos in range(digits):
+        j, i = divmod(pos, n)
+        a = label_flat[i * n + j]
+        if a:
+            exps = b"".join(exps.translate(shift[trace[mul[a][d]]]) for d in range(ctx.q))
+        else:
+            exps *= ctx.q
+    return exps

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import gap as gap_mod
 from . import graph as graph_mod
 from . import matrices, spectra
-from .errors import SizeTooLargeError, TheoremViolationError
+from .errors import EigenvectorMismatchError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext, field, is_prime, load_modulus_table, prime_power
 
 EXIT_OK = 0
@@ -207,24 +207,32 @@ def _verify_checks(ctx: FieldContext, n: int, enum_cap: int, graph_cap: int) -> 
         spectrum = None
         record("trace-identity", "skipped", f"{order} matrices over cap {enum_cap}")
 
-    # ground-truth graph checks
+    # ground-truth graph checks; the graph route raises on a failed identity
     if order > graph_cap:
         record("graph-checks", "skipped", f"order {order} over graph cap {graph_cap}")
-    else:
+        return checks
+    try:
         g = graph_mod.build_graph(ctx, n, max_order=graph_cap)
-        simple = graph_mod.is_simple(g)
-        record(
-            "graph-structure",
-            "pass" if simple and g.degree == matrices.gl_order(q, n) else "fail",
-            f"{g.order} vertices, degree {g.degree}, simple={simple}",
-        )
+    except AssertionError as exc:
+        record("graph-structure", "fail", str(exc))
+        return checks
+    simple = graph_mod.is_simple(g)
+    record(
+        "graph-structure",
+        "pass" if simple and g.degree == matrices.gl_order(q, n) else "fail",
+        f"{g.order} vertices, degree {g.degree}, simple={simple}",
+    )
+    try:
         graph_spectrum = graph_mod.spectrum_from_graph(g)
-        ok = spectrum is not None and graph_spectrum.lines == spectrum.lines
-        record(
-            "graph-eigenvectors",
-            "pass" if ok else "fail",
-            f"graph spectrum {[ (l.eigenvalue, l.multiplicity) for l in graph_spectrum.lines ]}",
-        )
+    except (EigenvectorMismatchError, AssertionError) as exc:
+        record("graph-eigenvectors", "fail", str(exc))
+        return checks
+    ok = spectrum is not None and graph_spectrum.lines == spectrum.lines
+    record(
+        "graph-eigenvectors",
+        "pass" if ok else "fail",
+        f"graph spectrum {[ (l.eigenvalue, l.multiplicity) for l in graph_spectrum.lines ]}",
+    )
     return checks
 
 

@@ -16,10 +16,15 @@ A sum that ought to be a plain integer but is not collapses loudly via
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Union
 
 from .errors import ContextMismatchError, NonPrimeError, NotRationalError
 from .fields import is_prime
+
+
+# the primality of a root order is checked once per p, not once per value
+_is_prime_order = functools.lru_cache(maxsize=64)(is_prime)
 
 
 class Cyclotomic:
@@ -28,7 +33,7 @@ class Cyclotomic:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Sequence[int]):
-        if not is_prime(p):
+        if not _is_prime_order(p):
             raise NonPrimeError(f"root order {p} is not prime")
         if len(coeffs) != p:
             raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")

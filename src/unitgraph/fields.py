@@ -358,9 +358,6 @@ class FieldContext:
         for i in range(self.q):
             yield FieldElement(self, i)
 
-    def trace_of_index(self, index: int) -> int:
-        return self._trace[index]
-
 
 class FieldElement:
     """An element of a ``FieldContext``, immutable and hashable.

@@ -2,31 +2,39 @@
 
 This module is the independent oracle for everything the closed forms
 claim: it builds the actual graph on Mat_n(F_q) -- vertices are matrices,
-an edge joins two matrices whose difference is invertible -- by running a
-determinant on every vertex pair, then checks the character vectors
-against that adjacency matrix coordinate by coordinate.
+an edge joins two matrices whose difference is invertible -- and checks
+the character vectors against that adjacency matrix coordinate by
+coordinate.
 
 Adjacency is stored as one packed bit row per vertex (a Python int), so
-the 512-vertex graph costs ~32 KiB and a row/eigenvector product reduces
-to p popcounts: bucket the vertices by character exponent once per label,
-then count neighbors per bucket with bitwise AND.  All products and
-comparisons stay in exact integer / cyclotomic arithmetic.
+the 512-vertex graph costs ~32 KiB.  The rows come from a determinant
+bitmap, bit t set iff the unrolled determinant of matrix t is nonzero:
+row i is that bitmap translated by matrix i, a digit-wise permutation of
+its bits, so bit j of row i is det(B_j - B_i) != 0 without a determinant
+per pair.  The bitmap does not read the rank table, so the graph checks
+it independently.
+
+A row/eigenvector product reduces to p popcounts: bucket the vertices by
+character exponent once per label, then count neighbors per bucket with
+bitwise AND.  The counts are compared with the eigenvalue as integers,
+which is exact: sum_e counts[e] zeta_p^e determines counts up to adding a
+constant to every entry.
 """
 
 from __future__ import annotations
 
-from typing import IO, Iterator
+from typing import IO, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import EigenvectorMismatchError, SizeTooLargeError
 from .fields import FieldContext
 from .matrices import Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count
-from .characters import _exponent_of, _label_terms
+from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
 
 # 4096 vertices covers every configuration the verified paths need; the
-# 65536-vertex build is possible via the override but costs hours of
-# pairwise determinants, so it stays opt-in.
+# 65536-vertex build is possible via the override, but its quadratic
+# simplicity scan and eigenvector checks take hours, so it stays opt-in.
 DEFAULT_MAX_ORDER = 4096
 
 
@@ -63,11 +71,12 @@ class CayleyGraph:
 
 
 def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -> CayleyGraph:
-    """Build the graph by pairwise determinants and validate its invariants.
+    """Build the graph from a determinant bitmap and validate its invariants.
 
-    Construction is deliberately naive -- det(B_j - B_i) for every pair,
-    nothing shared with the group-theoretic shortcuts -- because this
-    object serves as the ground truth the shortcuts are checked against.
+    Bit t of the bitmap is det(B_t) != 0 by the unrolled determinant,
+    nothing shared with the rank table or the group-theoretic shortcuts,
+    because this object is the ground truth they are checked against.
+    Row i is the bitmap translated by B_i: bit j is det(B_j - B_i) != 0.
     """
     order = matrix_count(ctx, n)
     if order > max_order:
@@ -75,17 +84,8 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
             f"graph on {order} vertices exceeds the cap {max_order}"
         )
     flats = tuple(_iter_flats(ctx, n))
-    add, neg = ctx._add, ctx._neg
-    rows = [0] * order
-    for i in range(order):
-        fi = flats[i]
-        for j in range(i + 1, order):
-            fj = flats[j]
-            diff = tuple(add[a][neg[b]] for a, b in zip(fj, fi))
-            if _det_flat(ctx, n, diff):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    graph = CayleyGraph(ctx, n, tuple(rows), flats)
+    dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in flats)
+    graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)), flats)
 
     if not is_simple(graph):
         raise AssertionError("freshly built graph failed the simplicity scan")
@@ -96,6 +96,33 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
                 f"vertex {i} has degree {row.bit_count()}, expected {deg}"
             )
     return graph
+
+
+def _bitset(indicator: bytes) -> int:
+    """The int whose bit t is set iff byte t of an ASCII 0/1 string is "1"."""
+    return int(indicator[::-1], 2)
+
+
+def _translated_rows(p: int, order: int, bitmap: int) -> tuple[int, ...]:
+    """Row i is ``bitmap`` with bit j moved to j + i, digit-wise mod p.
+
+    Vertex indices are base-p numbers and matrix addition adds their
+    digits mod p.  Adding s to the digit of block size b cycles the p
+    blocks of every run of p*b bits: the blocks below the wrap shift up by
+    s*b, the rest down by (p-s)*b.  Each row is one such step from a row
+    of a lower digit.
+    """
+    rows, b = [bitmap], 1
+    while b < order:
+        runs = order // (p * b)
+        lows = [int(("0" * (s * b) + "1" * ((p - s) * b)) * runs, 2) for s in range(1, p)]
+        rows += [
+            ((r & low) << s * b) | ((r & ~low) >> (p - s) * b)
+            for s, low in enumerate(lows, 1)
+            for r in rows
+        ]
+        b *= p
+    return tuple(rows)
 
 
 def is_simple(graph: CayleyGraph) -> bool:
@@ -113,34 +140,51 @@ def is_simple(graph: CayleyGraph) -> bool:
 def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     """Check A v = lambda v exactly for the label's character vector.
 
-    v has the character value at every vertex; lambda is the independent
-    character sum over the invertible matrices.  Each coordinate of A v is
-    assembled from the adjacency bit row (p popcounts) and compared in
-    canonical cyclotomic form.  Returns lambda on success.
+    v has the character value zeta_p^e_v at every vertex v; lambda is the
+    independent character sum over the invertible matrices.  The vertices
+    are bucketed by exponent into p bit sets, and coordinate v of A v is
+    sum_e counts[e] zeta_p^e, where counts[e] is the popcount of row v
+    against bucket e.  Each coordinate is compared with lambda zeta_p^e_v
+    on these integer counts.  Returns lambda on success.
     """
     ctx, n = graph.ctx, graph.n
     if label.ctx != ctx or label.n != n:
         raise ValueError("label does not match the graph's field or size")
     p = ctx.p
-    terms = _label_terms(ctx, n, label.flat)
-    exponents = [_exponent_of(ctx, terms, flat) for flat in graph._flats]
-    buckets = [0] * p
-    for v, e in enumerate(exponents):
-        buckets[e] |= 1 << v
+    exps = _exponents(ctx, n, label.flat, n * n)
+    if p <= _BYTE_MAX_P:
+        digits = bytes(range(p))
+        buckets = [
+            _bitset(exps.translate(bytes.maketrans(digits, b"0" * e + b"1" + b"0" * (p - 1 - e))))
+            for e in range(p)
+        ]
+    else:
+        buckets = [0] * p
+        for v, e in enumerate(exps):
+            buckets[e] |= 1 << v
+    columns = [list(map(int.bit_count, map(bucket.__and__, graph.rows))) for bucket in buckets]
 
     lam = eigenvalue_charsum(label)
-    for v in range(graph.order):
-        row = graph.rows[v]
-        counts = [(row & buckets[e]).bit_count() for e in range(p)]
-        lhs = Cyclotomic.from_exponent_counts(p, counts)
-        rhs = Cyclotomic.root(p, exponents[v]) * lam
-        if lhs != rhs:
+    for v, (counts, e) in enumerate(zip(zip(*columns), exps)):
+        if not _coordinate_holds(counts, lam, e):
+            lhs = Cyclotomic.from_exponent_counts(p, counts)
+            rhs = Cyclotomic.root(p, e) * lam
             raise EigenvectorMismatchError(
                 f"A v != lambda v at vertex {v} for label index "
                 f"{label.flat}: {lhs!r} vs {rhs!r}",
                 coordinate=v,
             )
     return lam
+
+
+def _coordinate_holds(counts: Sequence[int], lam: int, e: int) -> bool:
+    """sum_k counts[k] zeta_p^k == lam zeta_p^e, decided on the integers.
+
+    The kernel of Z^p -> Z[zeta_p] is Z (1, ..., 1), so the two sides are
+    equal exactly when counts minus lam at e is constant: every count
+    equals counts[e] - lam, except counts[e] itself when lam != 0.
+    """
+    return counts.count(counts[e] - lam) == len(counts) - (lam != 0)
 
 
 def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
@@ -159,13 +203,10 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
         label = Matrix(ctx, n, flat)
         lam = verify_eigenvector(graph, label)
         r = _eliminate(ctx, n, flat)[0]
-        if r in by_rank:
-            if by_rank[r] != lam:
-                raise AssertionError(
-                    f"rank {r} labels produced two eigenvalues: {by_rank[r]} and {lam}"
-                )
-        else:
-            by_rank[r] = lam
+        if by_rank.setdefault(r, lam) != lam:
+            raise AssertionError(
+                f"rank {r} labels produced two eigenvalues: {by_rank[r]} and {lam}"
+            )
         counts[r] = counts.get(r, 0) + 1
     lines = tuple(SpectrumLine(r, by_rank[r], counts[r]) for r in range(n + 1))
     return Spectrum(ctx.q, n, lines).validate()

@@ -307,7 +307,8 @@ def enumerate_invertible(
 ) -> Iterator[Matrix]:
     """The subsequence of ``enumerate_matrices`` with nonzero determinant."""
     _require_under_cap(ctx, n, cap)
-    for flat in _gl_flats(ctx, n):
+    mask = _rank_table(ctx, n).translate(bytes(r == n for r in range(256)))
+    for flat in itertools.compress(_iter_flats(ctx, n), mask):
         yield Matrix(ctx, n, flat)
 
 
@@ -351,13 +352,8 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
         table[offset :: size ** (n - 1)] = last_rows[span]
 
     fill(frozenset([0]), 0, 0)
+    del fill  # it refers to itself: break the cycle so the spans are freed now
     return bytes(table)
-
-
-def _gl_flats(ctx: FieldContext, n: int) -> Iterator[tuple[int, ...]]:
-    """``_iter_flats`` filtered to the invertible matrices by the rank table."""
-    mask = _rank_table(ctx, n).translate(bytes(r == n for r in range(256)))
-    return itertools.compress(_iter_flats(ctx, n), mask)
 
 
 def gl_order(q: int, n: int) -> int:

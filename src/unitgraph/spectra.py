@@ -27,16 +27,16 @@ integer raises rather than rounding.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .characters import _label_terms
+from .characters import _BYTE_MAX_P, _exponents, _shift_tables
 from .cyclotomic import Cyclotomic
 from .errors import InexactDivisionError
 from .fields import FieldContext
 from .matrices import (
     DEFAULT_ENUM_CAP,
     Matrix,
-    _gl_flats,
     _rank_table,
     _require_under_cap,
     rank_representative,
@@ -84,9 +84,6 @@ class Spectrum:
             if len(set(values)) != 4:
                 raise ValueError(f"eigenvalues not pairwise distinct: {values}")
         return self
-
-    def eigenvalue_of_rank(self, r: int) -> int:
-        return self.lines[r].eigenvalue
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,23 +211,36 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact character sum of the label over all invertible matrices.
 
     Histogram the trace exponent over GL_n(F_q), contract the histogram
-    against powers of zeta_p once, and collapse to an integer.  A
-    ``NotRationalError`` escaping from the collapse indicates a bug, not a
-    property of the input: these sums are Galois-stable.
+    against powers of zeta_p once, and collapse to an integer.  The
+    histogram is taken one top-digit block at a time: block d holds the
+    matrices whose most significant entry is d, their exponents are the
+    low-digit exponent bytes shifted by Tr(a * d), and the block's slice
+    of the rank table picks out the invertible ones.  Past p = 256 an
+    exponent does not fit a byte, and the matrices are counted one by
+    one.  A ``NotRationalError`` escaping from the collapse indicates a
+    bug, not a property of the input: these sums are Galois-stable.
     """
     ctx, n = label.ctx, label.n
     _require_under_cap(ctx, n, cap)
-    terms = _label_terms(ctx, n, label.flat)
+    table = _rank_table(ctx, n)
+    if not any(label.flat):
+        return table.count(n)
+    is_gl = bytes(r == n for r in range(256))
     counts = [0] * ctx.p
-    trace_tab = ctx._trace
-    add, mul = ctx._add, ctx._mul
-    if not terms:
-        return _rank_table(ctx, n).count(n)
-    for flat in _gl_flats(ctx, n):
-        acc = 0
-        for pos, a in terms:
-            acc = add[acc][mul[a][flat[pos]]]
-        counts[trace_tab[acc]] += 1
+    if ctx.p > _BYTE_MAX_P:  # exponents wider than a byte: count them one by one
+        for e in itertools.compress(_exponents(ctx, n, label.flat, n * n), table.translate(is_gl)):
+            counts[e] += 1
+        return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
+    top = n * n - 1  # b[n-1, n-1], which meets the label entry a[n-1, n-1]
+    low = _exponents(ctx, n, label.flat, top)
+    shift = _shift_tables(ctx.p)
+    a, size = label.flat[top], len(low)
+    for d in range(ctx.q):
+        exps = low.translate(shift[ctx._trace[ctx._mul[a][d]]])
+        mask = table[d * size : (d + 1) * size].translate(is_gl)
+        kept = bytes(itertools.compress(exps, mask))
+        for e in range(ctx.p):
+            counts[e] += kept.count(e)
     return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
 
 

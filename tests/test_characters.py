@@ -16,6 +16,7 @@ from unitgraph import (
     matrix_char,
     rank_representative,
 )
+from unitgraph.characters import _exponents, _exponent_of, _label_terms
 from unitgraph.matrices import enumerate_matrices, matrix_count
 
 F2 = field(2)
@@ -163,3 +164,16 @@ def test_mismatch_errors():
         matrix_char(Matrix.identity(F2, 2), Matrix.identity(F3, 2))
     with pytest.raises(ContextMismatchError):
         matrix_char(Matrix.identity(F2, 2), Matrix.identity(F2, 3))
+
+
+@pytest.mark.parametrize("q, n", [(2, 2), (3, 2), (2, 3), (4, 2), (257, 1)])
+def test_exponents_match_pointwise_exponents(q, n):
+    # p = 257 does not fit a byte and takes the per-matrix list route
+    ctx = field_of_order(q)
+    flats = [m.flat for m in enumerate_matrices(ctx, n)]
+    for label in flats:
+        terms = _label_terms(ctx, n, label)
+        expected = [_exponent_of(ctx, terms, flat) for flat in flats]
+        exps = _exponents(ctx, n, label, n * n)
+        assert type(exps) is (bytes if q <= 256 else list)
+        assert list(exps) == expected, label

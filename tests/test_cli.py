@@ -100,6 +100,46 @@ def test_verify_flag_beats_env(capsys, monkeypatch):
     assert "[PASS] graph-eigenvectors" in out
 
 
+def test_verify_reports_graph_route_failures(capsys, monkeypatch):
+    from unitgraph import graph as graph_mod
+    from unitgraph.errors import EigenvectorMismatchError
+
+    def mismatch(graph, label):
+        raise EigenvectorMismatchError("A v != lambda v at vertex 3", coordinate=3)
+
+    monkeypatch.setattr(graph_mod, "verify_eigenvector", mismatch)
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2")
+    assert code == 1
+    assert "[FAIL] graph-eigenvectors: A v != lambda v at vertex 3\n" in out
+    assert out.endswith("failed at: graph-eigenvectors\n")
+    assert err == ""
+
+    monkeypatch.setattr(graph_mod, "is_simple", lambda graph: False)
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"][-1] == {
+        "name": "graph-structure",
+        "status": "fail",
+        "detail": "freshly built graph failed the simplicity scan",
+    }
+    assert err == ""
+
+
+def test_prime_field_past_byte_exponents(capsys):
+    # p = 257: the trace exponents no longer fit a byte
+    code, out, _ = run(capsys, "spectrum", "--q", "257", "--n", "1")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  rank 0: eigenvalue 256, multiplicity 1",
+        "  rank 1: eigenvalue -1, multiplicity 256",
+    ]
+    code, out, _ = run(capsys, "charsum", "--q", "257", "--n", "1", "--format", "json")
+    assert code == 0
+    assert [r["eigenvalue"] for r in json.loads(out)["results"]] == [256, -1]
+
+
 def test_charsum_all_ranks(capsys):
     code, out, _ = run(capsys, "charsum", "--q", "2", "--format", "json")
     assert code == 0

@@ -104,6 +104,14 @@ def test_errors():
         Cyclotomic(3, [1, 2])
 
 
+def test_non_prime_order_is_rejected_on_every_construction():
+    # primality is cached per order; the cache must not let a later call pass
+    for _ in range(3):
+        with pytest.raises(NonPrimeError):
+            Cyclotomic(6, [0] * 6)
+    assert Cyclotomic(7, [0] * 7).is_zero()
+
+
 def test_json_shape():
     d = Cyclotomic.root(3, 2).to_json_dict()
     assert d == {"p": 3, "coeffs": [-1, -1, 0]}

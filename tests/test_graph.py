@@ -2,16 +2,22 @@
 
 import io
 import itertools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unitgraph import (
+    Cyclotomic,
     EigenvectorMismatchError,
     Matrix,
     SizeTooLargeError,
     build_graph,
     eigenvalue_charsum,
+    enumerate_matrices,
     field,
+    field_of_order,
     gl_order,
     is_simple,
     rank_representative,
@@ -19,7 +25,8 @@ from unitgraph import (
     spectrum_from_graph,
     verify_eigenvector,
 )
-from unitgraph.graph import CayleyGraph, export_edges
+from unitgraph.graph import CayleyGraph, _coordinate_holds, export_edges
+from unitgraph.matrices import _det_flat
 
 F2 = field(2)
 F3 = field(3)
@@ -141,3 +148,99 @@ def test_edges_and_export():
     lines = buf.getvalue().splitlines()
     assert count == len(edges) == len(lines)
     assert lines[0] == f"{edges[0][0]} {edges[0][1]}"
+
+
+def pairwise_rows(ctx, n):
+    """Reference build: det(B_j - B_i) for every pair, one pair at a time."""
+    flats = [m.flat for m in enumerate_matrices(ctx, n)]
+    add, neg = ctx._add, ctx._neg
+    rows = [0] * len(flats)
+    for i, fi in enumerate(flats):
+        for j in range(i + 1, len(flats)):
+            diff = tuple(add[a][neg[b]] for a, b in zip(flats[j], fi))
+            if _det_flat(ctx, n, diff):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "q, n", [(2, 2), (2, 3), (3, 2), (4, 2), (5, 2), (9, 1), (25, 1), (27, 1), (257, 1)]
+)
+def test_translated_rows_match_pairwise_determinants(q, n):
+    ctx = field_of_order(q)
+    assert build_graph(ctx, n).rows == pairwise_rows(ctx, n)
+
+
+def test_translated_rows_odd_p_extension_field_n2():
+    # GF(9) at n = 2: base-3 digits two per entry, 6561 vertices
+    ctx = field_of_order(9)
+    g = build_graph(ctx, 2, max_order=9**4)
+    for i in random.Random(9).sample(range(g.order), 16):
+        b_i = g.vertex(i)
+        expected = sum(1 << j for j in range(g.order) if (g.vertex(j) - b_i).det().index)
+        assert g.rows[i] == expected, i
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7]).flatmap(
+        lambda p: st.tuples(
+            st.lists(st.integers(-4, 4), min_size=p, max_size=p),
+            st.integers(-4, 4),
+            st.integers(0, p - 1),
+            st.booleans(),
+        )
+    )
+)
+def test_coordinate_predicate_is_cyclotomic_equality(case):
+    counts, lam, e, balanced = case
+    p = len(counts)
+    if balanced:  # the equal case: a constant plus lam at e
+        counts = [counts[0]] * p
+        counts[e] += lam
+    expected = Cyclotomic.from_exponent_counts(p, counts) == Cyclotomic.root(p, e) * lam
+    assert _coordinate_holds(counts, lam, e) == expected
+
+
+def test_verify_eigenvector_rejects_degree_preserving_swap():
+    # odd p: swap edges (a, b), (c, d) for (a, d), (c, b); still simple and
+    # regular, but no longer translation invariant
+    g = build_graph(F3, 2)
+    a, c = 0, 1
+    b = next(j for j in range(g.order) if g.has_edge(a, j) and not g.has_edge(c, j) and j != c)
+    d = next(j for j in range(g.order) if g.has_edge(c, j) and not g.has_edge(a, j) and j != a)
+    rows = list(g.rows)
+    for x, y in ((a, b), (c, d)):
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+    for x, y in ((a, d), (c, b)):
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    tampered = CayleyGraph(F3, 2, tuple(rows), g._flats)
+    assert is_simple(tampered)
+    assert all(row.bit_count() == g.degree for row in tampered.rows)
+    failed_at = []
+    for label in enumerate_matrices(F3, 2):
+        try:
+            verify_eigenvector(tampered, label)
+        except EigenvectorMismatchError as exc:
+            failed_at.append(exc.coordinate)
+    # the all-ones vector still passes (the graph is regular); others do not,
+    # and only at the four rows that changed
+    assert 0 < len(failed_at) < 81
+    assert set(failed_at) <= {a, b, c, d}
+
+
+def test_verify_eigenvector_past_byte_exponents():
+    # p = 257: exponents do not fit a byte, so the buckets come from a list
+    ctx = field(257)
+    g = build_graph(ctx, 1)
+    assert verify_eigenvector(g, Matrix(ctx, 1, (0,))) == 256
+    for a in (1, 200, 256):
+        assert verify_eigenvector(g, Matrix(ctx, 1, (a,))) == -1
+    rows = list(g.rows)  # drop the edge (0, 1) of the complete graph
+    rows[0] ^= 1 << 1
+    rows[1] ^= 1 << 0
+    with pytest.raises(EigenvectorMismatchError) as exc:
+        verify_eigenvector(CayleyGraph(ctx, 1, tuple(rows), g._flats), Matrix(ctx, 1, (1,)))
+    assert exc.value.coordinate == 0

@@ -1,5 +1,6 @@
 """Matrix algebra over small fields, enumeration order, group order."""
 
+import gc
 import itertools
 import random
 
@@ -199,6 +200,17 @@ def test_gl_mask_matches_unrolled_determinant():
     mask = _rank_table(F4, 3).translate(bytes(r == 3 for r in range(256)))
     dets = bytes(_det_flat(F4, 3, m.flat) != 0 for m in enumerate_matrices(F4, 3))
     assert mask == dets
+
+
+def test_rank_table_build_leaves_no_garbage_cycle():
+    # the build state must be freed on return, not at the next cyclic GC
+    gc.collect()
+    gc.disable()
+    try:
+        _rank_table.__wrapped__(F3, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_index_file_parsing():

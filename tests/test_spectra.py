@@ -6,6 +6,7 @@ shares no code with the library's field/matrix machinery.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -21,7 +22,10 @@ from unitgraph import (
     eigenvalue_charsum,
     eigenvalue_charsum_rank,
     eigenvalue_closed_form,
+    enumerate_invertible,
+    enumerate_matrices,
     field,
+    field_of_order,
     gl_order,
     rank_census,
     rank_count,
@@ -31,6 +35,8 @@ from unitgraph import (
     spectrum_closed_form,
     trace_identity_holds,
 )
+from unitgraph.characters import _exponent_of, _label_terms
+from unitgraph.matrices import matrix_from_index
 from unitgraph.spectra import _eigenvalue_polynomial
 
 F2 = field(2)
@@ -349,3 +355,30 @@ def test_spectrum_serialization():
     csv = s.to_csv().splitlines()
     assert csv[0] == "rank,eigenvalue,multiplicity"
     assert csv[2] == "1,-24,49"
+
+
+def plain_charsum(label, gl_flats):
+    """Histogram of the pointwise trace exponent over a list of GL flats."""
+    ctx = label.ctx
+    terms = _label_terms(ctx, label.n, label.flat)
+    counts = [0] * ctx.p
+    for flat in gl_flats:
+        counts[_exponent_of(ctx, terms, flat)] += 1
+    assert len(set(counts[1:])) == 1  # Galois-stable, so the sum is an integer
+    return counts[0] - counts[1]
+
+
+@pytest.mark.parametrize(
+    "q, n, sample",
+    [(2, 2, None), (3, 2, None), (2, 3, None), (4, 2, None), (257, 1, None), (3, 3, 40), (4, 3, 40)],
+)
+def test_blocked_charsum_matches_plain_histogram(q, n, sample):
+    ctx = field_of_order(q)
+    gl = [m.flat for m in enumerate_invertible(ctx, n)]
+    if sample is None:
+        labels = list(enumerate_matrices(ctx, n))
+    else:
+        rng = random.Random(q * 10 + n)
+        labels = [matrix_from_index(ctx, n, rng.randrange(q ** (n * n))) for _ in range(sample)]
+    for label in labels:
+        assert eigenvalue_charsum(label) == plain_charsum(label, gl), label.flat
