@@ -125,8 +125,12 @@ def _print_json(payload: dict) -> None:
 def _cmd_spectrum(args) -> int:
     enum_cap, _ = _caps(args)
     if args.n == 3:
-        pk = _resolve_pk(args)  # enforce prime power; closed forms need no field
-        q = pk[0] ** pk[1]
+        # closed forms need no field, but given modulus options must be valid
+        if args.modulus or args.modulus_file:
+            q = _resolve_context(args).q
+        else:
+            p, k = _resolve_pk(args)
+            q = p**k
         spectrum = spectra.spectrum_closed_form(q)
     else:
         ctx = _resolve_context(args)
@@ -363,6 +367,8 @@ def _cmd_gap(args) -> int:
     ctx = _resolve_context(args)
     n = 3
     reports = []
+    if args.subset_file_y and not args.subset_file:
+        raise UsageError("--subset-file-y needs --subset-file")
     if args.subset_file:
         xs = _read_subset(args.subset_file, ctx, n)
         ys = _read_subset(args.subset_file_y, ctx, n) if args.subset_file_y else xs

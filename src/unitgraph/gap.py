@@ -14,11 +14,23 @@ cross-multiplication, never by floating point).
 ``check_spectral_gap`` combines the threshold, the size test, and an
 exhaustive witness scan.  If the size test fires and the scan finds no
 witness, the theorem (or more likely this implementation) is broken, and
-a ``TheoremViolationError`` tripwire goes off.
+a ``TheoremViolationError`` tripwire goes off.  The bound is about sets,
+so a subset that lists one matrix twice is rejected with a ``ValueError``.
+
+The scan visits the pairs (a, b) in input order and takes one of two
+routes, chosen from q^(n^2) alone.  Up to ``DEFAULT_ENUM_CAP`` matrices it
+reads invertibility from the cached rank table: a matrix index is a
+base-q number whose digits are the entries, so index(b - a) is a sum of
+one looked-up term per block of digits (per row, at n = 3).  Above the
+cap (n = 3 and q >= 7) it computes the unrolled determinant of every
+b - a.  Both routes return the same pair.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +38,7 @@ from typing import Optional, Sequence
 
 from .errors import ContextMismatchError, TheoremViolationError
 from .fields import FieldContext
-from .matrices import Matrix, _det_flat, matrix_count, matrix_from_index
+from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _rank_table, matrix_count
 from .spectra import eigenvalue_closed_form
 
 
@@ -99,8 +111,8 @@ def _shared_context(xs: Sequence[Matrix], ys: Sequence[Matrix]) -> tuple[FieldCo
     if not xs or not ys:
         raise ValueError("subsets must be nonempty")
     ctx, n = xs[0].ctx, xs[0].n
-    for m in list(xs) + list(ys):
-        if m.ctx != ctx or m.n != n:
+    for m in itertools.chain(xs, ys):
+        if (m.ctx is not ctx and m.ctx != ctx) or m.n != n:
             raise ContextMismatchError("subset matrices built over different contexts")
     return ctx, n
 
@@ -112,12 +124,62 @@ def find_invertible_difference(
     b - a invertible, or None.  Note b - a invertible forces b != a, so a
     single-set query never returns a degenerate pair."""
     ctx, n = _shared_context(xs, ys)
+    if matrix_count(ctx, n) <= DEFAULT_ENUM_CAP:
+        return _table_scan(ctx, n, xs, ys)
+    return _pairwise_scan(ctx, n, xs, ys)
+
+
+def _pairwise_scan(
+    ctx: FieldContext, n: int, xs: Sequence[Matrix], ys: Sequence[Matrix]
+) -> Optional[tuple[Matrix, Matrix]]:
+    """The scan by one unrolled determinant per pair."""
     add, neg = ctx._add, ctx._neg
     for a in xs:
         fa = a.flat
         for b in ys:
             diff = tuple(add[x][neg[y]] for x, y in zip(b.flat, fa))
             if _det_flat(ctx, n, diff):
+                return (a, b)
+    return None
+
+
+def _table_scan(
+    ctx: FieldContext, n: int, xs: Sequence[Matrix], ys: Sequence[Matrix]
+) -> Optional[tuple[Matrix, Matrix]]:
+    """The scan by one rank-table byte per pair.
+
+    The n^2 digits of a matrix index are cut into three blocks of
+    consecutive digits (the rows at n = 3; a block may be empty).  The
+    blocks of ys are numbered once per call.  For each distinct block v of
+    an a, one list holds the place-weighted index of u - v for every
+    numbered block u, so index(b - a) is three list lookups and two adds.
+    The lists hold one integer per pair of distinct blocks: at n = 3
+    (q <= 5 under the cap) at most 125^2 a block.
+    """
+    q, table = ctx.q, _rank_table(ctx, n)
+    add, neg = ctx._add, ctx._neg
+    width = -(-n * n // 3)
+    blocks = [slice(start, start + width) for start in range(0, 3 * width, width)]
+    weights = [q**d for d in range(3 * width)]
+    flats = [b.flat for b in ys]
+    columns, numbers = [], []
+    for block in blocks:
+        parts = list(map(operator.itemgetter(block), flats))
+        number = {u: k for k, u in enumerate(dict.fromkeys(parts))}
+        columns.append(list(map(number.__getitem__, parts)))
+        numbers.append(number)
+
+    @functools.cache
+    def differences(k: int, v: tuple[int, ...]) -> list[int]:
+        w, minus_v = weights[blocks[k]], [neg[x] for x in v]
+        return [sum(c * add[x][y] for c, x, y in zip(w, u, minus_v)) for u in numbers[k]]
+
+    numbered_ys = list(zip(ys, *columns))
+    for a in xs:
+        fa = a.flat
+        d0, d1, d2 = (differences(k, fa[block]) for k, block in enumerate(blocks))
+        for b, u0, u1, u2 in numbered_ys:
+            if table[d0[u0] + d1[u1] + d2[u2]] == n:
                 return (a, b)
     return None
 
@@ -129,11 +191,15 @@ def check_spectral_gap(
 
     ``guaranteed`` is the exact integer test |X||Y| > bound^2 (equivalent
     to sqrt(|X||Y|) > bound, with no square root taken).  A guaranteed
-    query with no witness raises ``TheoremViolationError``.
+    query with no witness raises ``TheoremViolationError``; a subset that
+    repeats a matrix raises ``ValueError``, since the sizes count sets.
     """
     ctx, n = _shared_context(xs, ys)
     if n != 3:
         raise ValueError(f"the subset bound is specific to 3x3 matrices, got n={n}")
+    for name, subset in (("X", xs), ("Y", ys)):
+        if len(set(map(operator.attrgetter("flat"), subset))) < len(subset):
+            raise ValueError(f"subset {name} lists a matrix twice; the bound is about sets")
     thr = spectral_threshold(ctx.q)
     guaranteed = len(xs) * len(ys) > thr.integer_bound**2
     witness = find_invertible_difference(xs, ys)
@@ -157,8 +223,16 @@ def check_spectral_gap(
 
 def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> list[Matrix]:
     """Uniform sample of distinct matrices, reproducible from the caller's
-    seeded ``random.Random`` (indices drawn with ``rng.sample``)."""
-    total = matrix_count(ctx, n)
+    seeded ``random.Random`` (indices drawn with ``rng.sample``) and decoded
+    one digit position at a time."""
+    if n < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got {n}")
+    total, q = matrix_count(ctx, n), ctx.q
     if size > total:
         raise ValueError(f"cannot sample {size} distinct matrices from {total}")
-    return [matrix_from_index(ctx, n, i) for i in rng.sample(range(total), size)]
+    indices = rng.sample(range(total), size)
+    digits = []
+    for _ in range(n * n):
+        digits.append([t % q for t in indices])
+        indices = [t // q for t in indices]
+    return [Matrix(ctx, n, flat) for flat in zip(*digits)]

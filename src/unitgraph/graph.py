@@ -28,7 +28,9 @@ from typing import IO, Iterator, Sequence
 from .cyclotomic import Cyclotomic
 from .errors import EigenvectorMismatchError, SizeTooLargeError
 from .fields import FieldContext
-from .matrices import Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count
+from .matrices import (
+    Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count, matrix_to_index,
+)
 from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
 
@@ -171,7 +173,7 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
             rhs = Cyclotomic.root(p, e) * lam
             raise EigenvectorMismatchError(
                 f"A v != lambda v at vertex {v} for label index "
-                f"{label.flat}: {lhs!r} vs {rhs!r}",
+                f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
                 coordinate=v,
             )
     return lam

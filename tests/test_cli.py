@@ -273,6 +273,39 @@ def test_gap_random_size_zero_reaches_the_library(capsys):
     assert "subsets must be nonempty" in err
 
 
+def test_gap_rejects_repeated_matrices(capsys, tmp_path):
+    # 75 copies of one matrix clear the size bound but are one matrix, not 75
+    dup = tmp_path / "dup.idx"
+    dup.write_text("0\n" * 75)
+    code, out, err = run(capsys, "gap", "--q", "2", "--subset-file", str(dup))
+    assert code == 2
+    assert out == ""
+    assert "lists a matrix twice" in err and len(err.splitlines()) == 1
+    assert "THEOREM VIOLATION" not in err
+
+
+def test_gap_subset_file_y_needs_subset_file(capsys, tmp_path):
+    missing = tmp_path / "no-such.idx"
+    code, out, err = run(
+        capsys, "gap", "--q", "2", "--subset-file-y", str(missing), "--random-size", "75"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--subset-file-y needs --subset-file" in err and len(err.splitlines()) == 1
+
+
+def test_spectrum_n3_validates_modulus_options(capsys, tmp_path):
+    for extra in (["--modulus", "1,1,1,1"], ["--modulus-file", str(tmp_path / "no-such.txt")]):
+        for n in ("2", "3"):
+            code, out, err = run(capsys, "spectrum", "--q", "4", "--n", n, *extra)
+            assert code == 2, (extra, n)
+            assert out == "" and len(err.splitlines()) == 1
+    # a valid modulus leaves the closed forms as they are
+    _, plain, _ = run(capsys, "spectrum", "--q", "4", "--format", "json")
+    code, out, _ = run(capsys, "spectrum", "--q", "4", "--modulus", "1,1,1", "--format", "json")
+    assert code == 0 and out == plain
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 # stdout of the README examples (plus two JSON reports); these bytes are part

@@ -1,21 +1,28 @@
 """Spectral gap thresholds, witness search, soundness, negative control."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitgraph import (
     ContextMismatchError,
+    Matrix,
     check_spectral_gap,
     enumerate_matrices,
     field,
+    field_of_order,
     find_invertible_difference,
     matrix_from_index,
+    matrix_to_index,
     max_nontrivial_eigenvalue,
     random_subset,
     spectral_threshold,
 )
+from unitgraph import gap as gap_mod
 
 F2 = field(2)
 F3 = field(3)
@@ -156,3 +163,100 @@ def test_report_serialization():
     if d["witness"] is not None:
         assert set(d["witness"]) == {"a", "b"}
         assert d["witness"]["a"]["q"] == 2
+
+
+def test_repeated_matrix_is_rejected():
+    zero = matrix_from_index(F2, 3, 0)
+    with pytest.raises(ValueError, match="subset X lists a matrix twice"):
+        check_spectral_gap([zero] * 75, [zero] * 75)
+    distinct = random_subset(F2, 3, 75, random.Random(1))
+    with pytest.raises(ValueError, match="subset Y lists a matrix twice"):
+        check_spectral_gap(distinct, distinct + [matrix_from_index(F2, 3, 0)] * 2)
+    # an equal matrix built separately is still a repeat
+    copy = matrix_from_index(F2, 3, matrix_to_index(distinct[3]))
+    with pytest.raises(ValueError, match="subset X"):
+        check_spectral_gap(distinct + [copy], distinct)
+
+
+def _kernel_rows(ctx, n, v):
+    """Every row r (an entry tuple) with r . v = 0 over ctx."""
+    add, mul = ctx._add, ctx._mul
+    rows = []
+    for r in itertools.product(range(ctx.q), repeat=n):
+        acc = 0
+        for a, b in zip(r, v):
+            acc = add[acc][mul[a][b]]
+        if acc == 0:
+            rows.append(r)
+    return rows
+
+
+def _same_pair(found, expected):
+    if expected is None:
+        return found is None
+    return found is not None and found[0] is expected[0] and found[1] is expected[1]
+
+
+@st.composite
+def scan_inputs(draw):
+    """Two lists of matrices at q in {2, 3, 4} and n in {1, 2, 3} (and n = 4
+    at q = 2, where the three digit blocks are not rows); half the time
+    drawn from the kernel {B : B v = 0} of a nonzero v, where every
+    difference is singular."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.sampled_from([1, 2, 3, 4] if q == 2 else [1, 2, 3]))
+    ctx = field_of_order(q)
+    if draw(st.booleans()):
+        v = draw(st.tuples(*[st.integers(0, q - 1)] * n).filter(any))
+        row = st.sampled_from(_kernel_rows(ctx, n, v))
+        matrix = st.lists(row, min_size=n, max_size=n).map(
+            lambda rows: Matrix(ctx, n, tuple(itertools.chain(*rows)))
+        )
+        kernel = True
+    else:
+        matrix = st.integers(0, q ** (n * n) - 1).map(lambda i: matrix_from_index(ctx, n, i))
+        kernel = False
+    subset = st.lists(matrix, min_size=1, max_size=12)
+    return ctx, n, draw(subset), draw(subset), kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(scan_inputs())
+def test_table_scan_matches_pairwise_scan(case):
+    ctx, n, xs, ys, kernel = case
+    table = gap_mod._table_scan(ctx, n, xs, ys)
+    pairwise = gap_mod._pairwise_scan(ctx, n, xs, ys)
+    assert _same_pair(table, pairwise)
+    if kernel:
+        assert table is None
+    if table is not None:
+        assert any(a is table[0] for a in xs) and any(b is table[1] for b in ys)
+        assert (table[1] - table[0]).is_invertible()
+    # under the enumeration cap the public scan takes the table route
+    assert _same_pair(find_invertible_difference(xs, ys), table)
+
+
+def test_pairwise_route_above_the_cap(monkeypatch):
+    # q = 7, n = 3 has 7^9 > DEFAULT_ENUM_CAP matrices: no rank table is built
+    F7 = field(7)
+    monkeypatch.setattr(gap_mod, "_table_scan", None)
+    zero, one = Matrix.zero(F7, 3), Matrix.identity(F7, 3)
+    singular = Matrix.from_rows(F7, [[1, 2, 3], [4, 5, 6], [0, 0, 0]])
+    assert _same_pair(find_invertible_difference([zero], [zero, singular, one]), (zero, one))
+    rng = random.Random(3)
+    zero_row = [  # last row zero: every difference is singular
+        Matrix(F7, 3, tuple(rng.randrange(7) for _ in range(6)) + (0, 0, 0)) for _ in range(12)
+    ]
+    assert find_invertible_difference(zero_row, zero_row) is None
+
+
+def test_random_subset_decodes_like_matrix_from_index():
+    for q, n, size in ((2, 3, 75), (3, 3, 40), (4, 2, 256), (5, 1, 3), (2, 4, 20), (7, 3, 10)):
+        ctx = field_of_order(q)
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            drawn = random_subset(ctx, n, size, rng)
+            expected = [matrix_from_index(ctx, n, i) for i in ref.sample(range(q ** (n * n)), size)]
+            assert [m.flat for m in drawn] == [m.flat for m in expected]
+            assert all(m.ctx is ctx and m.n == n for m in drawn)
+            assert rng.random() == ref.random()  # the same draws were consumed

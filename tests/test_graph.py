@@ -20,6 +20,7 @@ from unitgraph import (
     field_of_order,
     gl_order,
     is_simple,
+    matrix_to_index,
     rank_representative,
     spectrum_closed_form,
     spectrum_from_graph,
@@ -225,6 +226,7 @@ def test_verify_eigenvector_rejects_degree_preserving_swap():
             verify_eigenvector(tampered, label)
         except EigenvectorMismatchError as exc:
             failed_at.append(exc.coordinate)
+            assert f"for label index {matrix_to_index(label)}:" in str(exc)
     # the all-ones vector still passes (the graph is regular); others do not,
     # and only at the four rows that changed
     assert 0 < len(failed_at) < 81
