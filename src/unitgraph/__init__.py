@@ -11,6 +11,7 @@ guarantees for large vertex subsets.
 
 from .cyclotomic import Cyclotomic
 from .errors import (
+    CheckFailedError,
     ContextMismatchError,
     EigenvectorMismatchError,
     InexactDivisionError,

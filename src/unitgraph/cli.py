@@ -5,9 +5,10 @@ library, the CLI only formats.  ``--format json`` and ``csv`` are stable
 contracts (identical configs and seeds give byte-identical output); the
 text format is human-oriented and may change.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 size cap hit.
-Caps may also be set via UNITGRAPH_MAX_ENUM / UNITGRAPH_MAX_GRAPH; the
-command-line flags win over the environment.
+Exit codes: 0 success, 1 check failure, 2 usage error, 3 size cap hit;
+``EXIT_CODES`` maps exceptions to them.  Caps may also be set via
+UNITGRAPH_MAX_ENUM / UNITGRAPH_MAX_GRAPH; the command-line flags win over
+the environment.
 """
 
 from __future__ import annotations
@@ -22,17 +23,17 @@ from typing import Optional, Sequence
 from . import gap as gap_mod
 from . import graph as graph_mod
 from . import matrices, spectra
-from .errors import EigenvectorMismatchError, SizeTooLargeError, TheoremViolationError
+from .errors import CheckFailedError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext, field, is_prime, load_modulus_table, prime_power
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
-EXIT_CAP = 3
-
-
-class UsageError(Exception):
-    pass
+# (exception class, exit code, stderr prefix): an exception leaving a
+# subcommand is reported through the first row it is an instance of
+EXIT_CODES = (
+    (SizeTooLargeError, 3, "error: "),
+    (TheoremViolationError, 1, "THEOREM VIOLATION: "),
+    (CheckFailedError, 1, "check failed: "),
+    (ValueError, 2, "error: "),
+)
 
 
 def _env_cap(name: str, default: int) -> int:
@@ -42,7 +43,7 @@ def _env_cap(name: str, default: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"environment variable {name} is not an integer: {raw!r}")
+        raise ValueError(f"environment variable {name} is not an integer: {raw!r}")
 
 
 def _add_field_options(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
@@ -86,22 +87,30 @@ def _caps(args) -> tuple[int, int]:
 
 
 def _resolve_pk(args) -> tuple[int, int]:
+    """(p, k) of the field options, once they and ``--n`` are checked."""
     if args.q is not None and args.p is not None:
-        raise UsageError("give either --q or --p/--k, not both")
+        raise ValueError("give either --q or --p/--k, not both")
     if args.q is not None:
         pk = prime_power(args.q)
         if pk is None:
-            raise UsageError(f"{args.q} is not a prime power")
-        return pk
-    if args.p is not None:
+            raise ValueError(f"{args.q} is not a prime power")
+    elif args.p is not None:
         if not is_prime(args.p):
-            raise UsageError(f"--p {args.p} is not a prime")
-        return (args.p, args.k)
-    raise UsageError("a field is required: pass --q or --p (with optional --k)")
+            raise ValueError(f"--p {args.p} is not a prime")
+        pk = (args.p, args.k)
+    else:
+        raise ValueError("a field is required: pass --q or --p (with optional --k)")
+    if getattr(args, "n", 1) < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    return pk
 
 
-def _resolve_context(args) -> FieldContext:
+def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
+    """The field of the options; q^(n^2) is held to ``cap`` (if given)
+    before any field table is built."""
     p, k = _resolve_pk(args)
+    if cap is not None and (p**k) ** (args.n**2) > cap:
+        raise SizeTooLargeError(f"{p**k}^{args.n**2} matrices exceed the cap {cap}")
     modulus = None
     if args.modulus:
         modulus = [int(c) for c in args.modulus.split(",")]
@@ -110,19 +119,20 @@ def _resolve_context(args) -> FieldContext:
         try:
             table = load_modulus_table(args.modulus_file)
         except OSError as exc:
-            raise UsageError(f"cannot read modulus file {args.modulus_file}: {exc}")
+            raise ValueError(f"cannot read modulus file {args.modulus_file}: {exc}")
     return field(p, k, modulus=modulus, modulus_table=table)
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+# Each subcommand returns (json payload, text lines, verdict).  main prints
+# the report and then raises the verdict, if any, through EXIT_CODES; a
+# failure the report already shows is a verdict without a message.
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     enum_cap, _ = _caps(args)
     if args.n == 3:
         # closed forms need no field, but given modulus options must be valid
@@ -133,20 +143,18 @@ def _cmd_spectrum(args) -> int:
             q = p**k
         spectrum = spectra.spectrum_closed_form(q)
     else:
-        ctx = _resolve_context(args)
+        ctx = _resolve_context(args, enum_cap)
         spectrum = spectra.spectrum_brute_force(ctx, args.n, cap=enum_cap)
-    if args.format == "json":
-        _print_json(spectrum.to_json_dict())
-    elif args.format == "csv":
-        print(spectrum.to_csv(), end="")
+    if args.format == "csv":
+        lines = spectrum.to_csv().splitlines()
     else:
-        print(f"spectrum, q={spectrum.q}, n={spectrum.n} ({spectrum.q ** (spectrum.n * spectrum.n)} vertices)")
-        for line in spectrum.lines:
-            print(
-                f"  rank {line.rank}: eigenvalue {line.eigenvalue}, "
-                f"multiplicity {line.multiplicity}"
-            )
-    return EXIT_OK
+        q, n = spectrum.q, spectrum.n
+        lines = [f"spectrum, q={q}, n={n} ({q ** (n * n)} vertices)"]
+        lines += [
+            f"  rank {line.rank}: eigenvalue {line.eigenvalue}, multiplicity {line.multiplicity}"
+            for line in spectrum.lines
+        ]
+    return spectrum.to_json_dict(), lines, None
 
 
 # ---------------------------------------------------------------------------
@@ -154,118 +162,112 @@ def _cmd_spectrum(args) -> int:
 
 
 def _verify_checks(ctx: FieldContext, n: int, enum_cap: int, graph_cap: int) -> list[dict]:
-    q = ctx.q
+    q, order = ctx.q, matrices.matrix_count(ctx, n)
     checks: list[dict] = []
+    spectrum = graph = None
 
-    def record(name: str, status: str, detail: str) -> None:
+    def run(name: str, check) -> str:
+        """Record ``check() -> (ok, detail)``; a cap skips the check and a
+        failed internal identity fails it.  Returns the status."""
+        try:
+            ok, detail = check()
+            status = "pass" if ok else "fail"
+        except SizeTooLargeError as exc:
+            status, detail = "skipped", str(exc)
+        except CheckFailedError as exc:
+            status, detail = "fail", str(exc)
         checks.append({"name": name, "status": status, "detail": detail})
+        return status
 
-    order = matrices.matrix_count(ctx, n)
-
-    # closed-form eigenvalues vs exhaustive character sums (n = 3 only)
-    if n == 3:
+    def enumerable() -> None:
         if order > enum_cap:
-            record("eigenvalues-closed-vs-charsum", "skipped", f"{order} matrices over cap {enum_cap}")
-        else:
-            bad = []
-            values = []
-            for r in range(4):
-                closed = spectra.eigenvalue_closed_form(q, r)
-                brute = spectra.eigenvalue_charsum_rank(ctx, n, r, cap=enum_cap)
-                values.append(f"rank {r}: {brute}")
-                if closed != brute:
-                    bad.append(f"rank {r}: closed {closed} != charsum {brute}")
-            record(
-                "eigenvalues-closed-vs-charsum",
-                "fail" if bad else "pass",
-                "; ".join(bad or values),
-            )
+            raise SizeTooLargeError(f"{order} matrices over cap {enum_cap}")
 
-    # rank-count formula vs exhaustive census
-    if order > enum_cap:
-        record("multiplicities-formula-vs-census", "skipped", f"{order} matrices over cap {enum_cap}")
-    else:
+    def eigenvalues():
+        # closed-form eigenvalues vs exhaustive character sums (n = 3 only)
+        enumerable()
+        closed = [spectra.eigenvalue_closed_form(q, r) for r in range(4)]
+        charsum = [spectra.eigenvalue_charsum_rank(ctx, n, r, cap=enum_cap) for r in range(4)]
+        bad = [
+            f"rank {r}: closed {c} != charsum {b}"
+            for r, (c, b) in enumerate(zip(closed, charsum))
+            if c != b
+        ]
+        return not bad, "; ".join(bad or [f"rank {r}: {b}" for r, b in enumerate(charsum)])
+
+    def multiplicities():
+        # rank-count formula vs exhaustive census
+        enumerable()
         census = matrices.rank_census(ctx, n, cap=enum_cap)
         formula = [spectra.rank_count(q, n, r) for r in range(n + 1)]
-        ok = census == formula
-        record(
-            "multiplicities-formula-vs-census",
-            "pass" if ok else "fail",
-            f"census {census} vs formula {formula}",
-        )
+        return census == formula, f"census {census} vs formula {formula}"
 
-    # zero-trace identity on the assembled spectrum
-    try:
-        spectrum = (
-            spectra.spectrum_closed_form(q)
-            if n == 3
-            else spectra.spectrum_brute_force(ctx, n, cap=enum_cap)
-        )
+    def trace():
+        # zero-trace identity on the assembled spectrum
+        nonlocal spectrum
+        if n == 3:
+            spectrum = spectra.spectrum_closed_form(q)
+        else:
+            enumerable()
+            spectrum = spectra.spectrum_brute_force(ctx, n, cap=enum_cap)
         weighted = sum(l.multiplicity * l.eigenvalue for l in spectrum.lines)
-        record(
-            "trace-identity",
-            "pass" if weighted == 0 else "fail",
-            f"weighted eigenvalue sum = {weighted}",
-        )
-    except SizeTooLargeError:
-        spectrum = None
-        record("trace-identity", "skipped", f"{order} matrices over cap {enum_cap}")
+        return weighted == 0, f"weighted eigenvalue sum = {weighted}"
 
-    # ground-truth graph checks; the graph route raises on a failed identity
-    if order > graph_cap:
-        record("graph-checks", "skipped", f"order {order} over graph cap {graph_cap}")
-        return checks
-    try:
-        g = graph_mod.build_graph(ctx, n, max_order=graph_cap)
-    except AssertionError as exc:
-        record("graph-structure", "fail", str(exc))
-        return checks
-    simple = graph_mod.is_simple(g)
-    record(
-        "graph-structure",
-        "pass" if simple and g.degree == matrices.gl_order(q, n) else "fail",
-        f"{g.order} vertices, degree {g.degree}, simple={simple}",
-    )
-    try:
-        graph_spectrum = graph_mod.spectrum_from_graph(g)
-    except (EigenvectorMismatchError, AssertionError) as exc:
-        record("graph-eigenvectors", "fail", str(exc))
-        return checks
-    ok = spectrum is not None and graph_spectrum.lines == spectrum.lines
-    record(
-        "graph-eigenvectors",
-        "pass" if ok else "fail",
-        f"graph spectrum {[ (l.eigenvalue, l.multiplicity) for l in graph_spectrum.lines ]}",
-    )
+    def structure():
+        # the ground-truth graph; its build raises on a failed invariant
+        nonlocal graph
+        if order > graph_cap:
+            raise SizeTooLargeError(f"order {order} over graph cap {graph_cap}")
+        graph = graph_mod.build_graph(ctx, n, max_order=graph_cap)
+        simple = graph_mod.is_simple(graph)
+        return (
+            simple and graph.degree == matrices.gl_order(q, n),
+            f"{graph.order} vertices, degree {graph.degree}, simple={simple}",
+        )
+
+    def eigenvectors():
+        lines = graph_mod.spectrum_from_graph(graph).lines
+        # with the enumeration over its cap there is no spectrum to compare
+        return (
+            lines == spectrum.lines if spectrum else trace_status == "skipped",
+            f"graph spectrum {[(l.eigenvalue, l.multiplicity) for l in lines]}",
+        )
+
+    if n == 3:
+        run("eigenvalues-closed-vs-charsum", eigenvalues)
+    run("multiplicities-formula-vs-census", multiplicities)
+    trace_status = run("trace-identity", trace)
+    # the graph checks stop at the first that does not pass; a cap skips both
+    if run("graph-checks" if order > graph_cap else "graph-structure", structure) == "pass":
+        run("graph-eigenvectors", eigenvectors)
     return checks
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     enum_cap, graph_cap = _caps(args)
     ctx = _resolve_context(args)
     checks = _verify_checks(ctx, args.n, enum_cap, graph_cap)
-    failed = [c for c in checks if c["status"] == "fail"]
-    if args.format == "json":
-        _print_json(
-            {"q": ctx.q, "n": args.n, "passed": not failed, "checks": checks}
-        )
-    else:
-        print(f"verification, q={ctx.q}, n={args.n}")
-        for c in checks:
-            tag = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c["status"]]
-            print(f"  [{tag}] {c['name']}: {c['detail']}")
-        if failed:
-            print(f"failed at: {failed[0]['name']}")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    failed = [c["name"] for c in checks if c["status"] == "fail"]
+    tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
+    lines = [f"verification, q={ctx.q}, n={args.n}"]
+    lines += [f"  [{tags[c['status']]}] {c['name']}: {c['detail']}" for c in checks]
+    verdict = None
+    if failed:
+        lines.append(f"failed at: {failed[0]}")
+        verdict = CheckFailedError()
+    elif all(c["status"] == "skipped" for c in checks):
+        verdict = SizeTooLargeError("no check ran: every check is over a size cap")
+    payload = {"q": ctx.q, "n": args.n, "passed": not failed, "checks": checks}
+    return payload, lines, verdict
 
 
 # ---------------------------------------------------------------------------
 # charsum
 
 
-def _cmd_charsum(args) -> int:
+def _cmd_charsum(args):
     enum_cap, _ = _caps(args)
-    ctx = _resolve_context(args)
+    ctx = _resolve_context(args, enum_cap)
     n = args.n
     if args.label_index is not None:
         labels = [matrices.matrix_from_index(ctx, n, args.label_index)]
@@ -280,44 +282,41 @@ def _cmd_charsum(args) -> int:
         }
         for label in labels
     ]
-    if args.format == "json":
-        _print_json({"q": ctx.q, "n": n, "results": results})
-    else:
-        print(f"character sums over invertible matrices, q={ctx.q}, n={n}")
-        for r in results:
-            print(
-                f"  label {r['label_index']} (rank {r['rank']}): {r['eigenvalue']}"
-            )
-    return EXIT_OK
+    lines = [f"character sums over invertible matrices, q={ctx.q}, n={n}"]
+    lines += [f"  label {r['label_index']} (rank {r['rank']}): {r['eigenvalue']}" for r in results]
+    return {"q": ctx.q, "n": n, "results": results}, lines, None
 
 
 # ---------------------------------------------------------------------------
 # census
 
 
-def _census_row(census: int, closed: int, **key) -> dict:
-    return {**key, "census": census, "closed_form": closed, "equal": census == closed}
-
-
-def _census_line(label: str, row: dict) -> str:
-    flag = "ok" if row["equal"] else "MISMATCH"
-    return f"  {label}: census {row['census']}, closed form {row['closed_form']} [{flag}]"
-
-
-def _cmd_census(args) -> int:
+def _cmd_census(args):
     enum_cap, _ = _caps(args)
-    ctx = _resolve_context(args)
-    n = args.n
-    q = ctx.q
-    census = matrices.rank_census(ctx, n, cap=enum_cap)
-    ranks = [_census_row(census[r], spectra.rank_count(q, n, r), rank=r) for r in range(n + 1)]
-    payload: dict = {"q": q, "n": n, "ranks": ranks}
+    ctx = _resolve_context(args, enum_cap)
+    n, q = args.n, ctx.q
+    lines = [f"rank census, q={q}, n={n}"]
+    rows: list[dict] = []
 
+    def row(label: Optional[str], census: int, closed: int, **key) -> dict:
+        rows.append({**key, "census": census, "closed_form": closed, "equal": census == closed})
+        if label:
+            flag = "ok" if census == closed else "MISMATCH"
+            lines.append(f"  {label}: census {census}, closed form {closed} [{flag}]")
+        return rows[-1]
+
+    census = matrices.rank_census(ctx, n, cap=enum_cap)
+    payload: dict = {"q": q, "n": n}
+    payload["ranks"] = [
+        row(f"rank {r}", census[r], spectra.rank_count(q, n, r), rank=r) for r in range(n + 1)
+    ]
     if n == 3:
         grid = spectra.count_invertible_pinned(ctx, n=n, cap=enum_cap)
         elements = list(ctx.elements())
+        lines.append("invertible counts with pinned (0,0) entry:")
         payload["corner"] = [
-            _census_row(
+            row(
+                f"alpha={list(a.coeffs)}",
                 sum(grid[a.index]),
                 spectra.corner_count_closed_form(q, a.is_zero()),
                 alpha=list(a.coeffs),
@@ -325,7 +324,8 @@ def _cmd_census(args) -> int:
             for a in elements
         ]
         payload["diag_pairs"] = [
-            _census_row(
+            row(
+                None,
                 grid[a.index][b.index],
                 spectra.diag_pair_count_closed_form(q, a.is_zero(), b.is_zero()),
                 alpha=list(a.coeffs),
@@ -334,19 +334,8 @@ def _cmd_census(args) -> int:
             for a in elements
             for b in elements
         ]
-
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(f"rank census, q={q}, n={n}")
-        for row in ranks:
-            print(_census_line(f"rank {row['rank']}", row))
-        if n == 3:
-            print("invertible counts with pinned (0,0) entry:")
-            for row in payload["corner"]:
-                print(_census_line(f"alpha={row['alpha']}", row))
-    rows = ranks + payload.get("corner", []) + payload.get("diag_pairs", [])
-    return EXIT_OK if all(row["equal"] for row in rows) else EXIT_CHECK_FAILED
+    verdict = None if all(r["equal"] for r in rows) else CheckFailedError()
+    return payload, lines, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -358,67 +347,63 @@ def _read_subset(path: str, ctx: FieldContext, n: int) -> list[matrices.Matrix]:
         with open(path, encoding="utf-8") as fh:
             return matrices.matrices_from_index_file(ctx, n, fh)
     except OSError as exc:
-        raise UsageError(f"cannot read subset file {path}: {exc}")
+        raise ValueError(f"cannot read subset file {path}: {exc}")
     except ValueError as exc:
-        raise UsageError(f"bad subset file {path}: {exc}")
+        raise ValueError(f"bad subset file {path}: {exc}")
 
 
-def _cmd_gap(args) -> int:
+def _cmd_gap(args):
     ctx = _resolve_context(args)
     n = 3
     reports = []
     if args.subset_file_y and not args.subset_file:
-        raise UsageError("--subset-file-y needs --subset-file")
+        raise ValueError("--subset-file-y needs --subset-file")
     if args.subset_file:
         xs = _read_subset(args.subset_file, ctx, n)
         ys = _read_subset(args.subset_file_y, ctx, n) if args.subset_file_y else xs
         reports.append(gap_mod.check_spectral_gap(xs, ys))
     elif args.random_size is not None:
-        trials = args.trials
-        if trials < 1:
-            raise UsageError("--trials must be >= 1")
-        for t in range(trials):
+        if args.trials < 1:
+            raise ValueError("--trials must be >= 1")
+        for t in range(args.trials):
             trial_seed = args.seed + t
             rng = random.Random(trial_seed)
             xs = gap_mod.random_subset(ctx, n, args.random_size, rng)
             ys = gap_mod.random_subset(ctx, n, args.random_size, rng)
             reports.append(gap_mod.check_spectral_gap(xs, ys, seed=trial_seed))
     else:
-        raise UsageError("pass --subset-file or --random-size")
+        raise ValueError("pass --subset-file or --random-size")
 
-    if args.format == "json":
-        _print_json({"q": ctx.q, "n": n, "reports": [r.to_json_dict() for r in reports]})
-    else:
-        for r in reports:
-            witness = "witness found" if r.witness else "no witness"
-            print(
-                f"q={r.q} sizes=({r.size_x},{r.size_y}) "
-                f"threshold={r.n_star_num}/{r.n_star_den} bound={r.integer_bound} "
-                f"guaranteed={r.guaranteed} {witness}"
-                + (f" seed={r.seed}" if r.seed is not None else "")
-            )
-    return EXIT_OK
+    lines = [
+        f"q={r.q} sizes=({r.size_x},{r.size_y}) "
+        f"threshold={r.n_star_num}/{r.n_star_den} bound={r.integer_bound} "
+        f"guaranteed={r.guaranteed} {'witness found' if r.witness else 'no witness'}"
+        + (f" seed={r.seed}" if r.seed is not None else "")
+        for r in reports
+    ]
+    payload = {"q": ctx.q, "n": n, "reports": [r.to_json_dict() for r in reports]}
+    return payload, lines, None
 
 
 # ---------------------------------------------------------------------------
 # export-graph
 
 
-def _cmd_export_graph(args) -> int:
+def _cmd_export_graph(args):
     _, graph_cap = _caps(args)
-    ctx = _resolve_context(args)
+    ctx = _resolve_context(args, graph_cap)
     g = graph_mod.build_graph(ctx, args.n, max_order=graph_cap)
     if args.output and args.output != "-":
         try:
             fh = open(args.output, "w", encoding="utf-8")
         except OSError as exc:
-            raise UsageError(f"cannot write {args.output}: {exc}")
+            raise ValueError(f"cannot write {args.output}: {exc}")
         with fh:
             count = graph_mod.export_edges(g, fh)
         print(f"wrote {count} edges ({g.order} vertices) to {args.output}", file=sys.stderr)
     else:
         graph_mod.export_edges(g, sys.stdout)
-    return EXIT_OK
+    return None, [], None  # the edges are streamed, not a report
 
 
 # ---------------------------------------------------------------------------
@@ -481,23 +466,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SizeTooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        # bad numeric input (non-prime p, reducible modulus, bad rank, ...)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TheoremViolationError as exc:
-        print(f"THEOREM VIOLATION: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        payload, lines, verdict = args.func(args)
+        if getattr(args, "format", "text") == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        if verdict is not None:
+            raise verdict
+        return 0
+    except tuple(cls for cls, _, _ in EXIT_CODES) as exc:
+        _, code, prefix = next(row for row in EXIT_CODES if isinstance(exc, row[0]))
+        if str(exc):  # a failure the report shows needs no stderr line
+            print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
-Everything that can go wrong falls into three buckets: bad inputs
-(ValueError subclasses), computations that exceed a configured size cap,
-and internal identities failing (which indicate an implementation bug,
-never a user error).
+Everything that can go wrong falls into three buckets, one CLI exit code
+each: bad inputs (``ValueError`` subclasses, exit 2), computations that
+exceed a configured size cap (``SizeTooLargeError``, exit 3), and internal
+identities failing (``CheckFailedError`` subclasses, exit 1).  The last
+indicate an implementation bug, never a user error, so they are not
+``ValueError``s.
 """
 
 
@@ -23,7 +25,15 @@ class ContextMismatchError(ValueError):
     """Operands built over different fields, dimensions, or root orders."""
 
 
-class NotRationalError(ValueError):
+class SizeTooLargeError(ValueError):
+    """An enumeration or graph build would exceed its size cap."""
+
+
+class CheckFailedError(Exception):
+    """An identity that holds for a correct implementation failed."""
+
+
+class NotRationalError(CheckFailedError):
     """A cyclotomic value expected to collapse to an integer did not.
 
     Character sums over unions of full rank classes are Galois-stable and
@@ -32,16 +42,12 @@ class NotRationalError(ValueError):
     """
 
 
-class SizeTooLargeError(ValueError):
-    """An enumeration or graph build would exceed its size cap."""
-
-
-class InexactDivisionError(ArithmeticError):
+class InexactDivisionError(CheckFailedError):
     """An integer division that the underlying identity promises to be
     exact left a remainder."""
 
 
-class EigenvectorMismatchError(ArithmeticError):
+class EigenvectorMismatchError(CheckFailedError):
     """A character vector failed the eigenvector equation on the ground
     truth adjacency matrix."""
 
@@ -50,7 +56,7 @@ class EigenvectorMismatchError(ArithmeticError):
         self.coordinate = coordinate
 
 
-class TheoremViolationError(RuntimeError):
+class TheoremViolationError(CheckFailedError):
     """The spectral gap guarantee fired but no witness pair was found.
 
     This is unreachable if the implementation is correct; it exists as a

@@ -29,6 +29,7 @@ from importlib import resources
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
+    CheckFailedError,
     ContextMismatchError,
     NonPrimeError,
     ReducibleModulusError,
@@ -324,7 +325,7 @@ class FieldContext:
                 t = tp
                 acc = add[acc][t]
             if acc >= p:
-                raise AssertionError(
+                raise CheckFailedError(
                     f"trace of element {i} in {self!r} fell outside the prime subfield"
                 )
             trace.append(acc)

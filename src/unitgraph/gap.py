@@ -32,11 +32,12 @@ import functools
 import itertools
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ContextMismatchError, TheoremViolationError
+from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext
 from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _rank_table, matrix_count
 from .spectra import eigenvalue_closed_form
@@ -58,7 +59,7 @@ def spectral_threshold(q: int) -> GapThreshold:
     bound = q**6 + q**3 + 2
     # n_star < bound  <=>  q^9 < (q^3 - 1) * bound, all in exact integers
     if not q**9 < (q**3 - 1) * bound:
-        raise ArithmeticError(
+        raise CheckFailedError(
             f"threshold inequality failed at q={q}: {n_star} >= {bound}"
         )
     return GapThreshold(q, n_star, bound)
@@ -230,6 +231,8 @@ def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> l
     total, q = matrix_count(ctx, n), ctx.q
     if size > total:
         raise ValueError(f"cannot sample {size} distinct matrices from {total}")
+    if total > sys.maxsize:  # rng.sample needs len(range(total))
+        raise SizeTooLargeError(f"cannot sample from {total} matrices; the limit is {sys.maxsize}")
     indices = rng.sample(range(total), size)
     digits = []
     for _ in range(n * n):

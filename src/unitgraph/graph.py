@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import IO, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
-from .errors import EigenvectorMismatchError, SizeTooLargeError
+from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
 from .fields import FieldContext
 from .matrices import (
     Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count, matrix_to_index,
@@ -90,11 +90,11 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
     graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)), flats)
 
     if not is_simple(graph):
-        raise AssertionError("freshly built graph failed the simplicity scan")
+        raise CheckFailedError("freshly built graph failed the simplicity scan")
     deg = gl_order(ctx.q, n)
     for i, row in enumerate(graph.rows):
         if row.bit_count() != deg:
-            raise AssertionError(
+            raise CheckFailedError(
                 f"vertex {i} has degree {row.bit_count()}, expected {deg}"
             )
     return graph
@@ -195,7 +195,7 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
     The character vectors are pairwise orthogonal and nonzero, so once
     every label passes, the bucketed eigenvalues with their class sizes
     are the complete spectrum (the multiplicity sum is re-checked by
-    ``Spectrum.validate``).  Also asserts the eigenvalue is constant on
+    ``Spectrum.validate``).  Also checks that the eigenvalue is constant on
     each rank class rather than assuming it.
     """
     ctx, n = graph.ctx, graph.n
@@ -206,7 +206,7 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
         lam = verify_eigenvector(graph, label)
         r = _eliminate(ctx, n, flat)[0]
         if by_rank.setdefault(r, lam) != lam:
-            raise AssertionError(
+            raise CheckFailedError(
                 f"rank {r} labels produced two eigenvalues: {by_rank[r]} and {lam}"
             )
         counts[r] = counts.get(r, 0) + 1

@@ -330,15 +330,17 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
     index = {v: u for u, v in enumerate(vectors)}
     table = bytearray(q ** (n * n))
     grown: dict[tuple[frozenset, int], frozenset] = {}
+    spans: dict[frozenset, frozenset] = {}  # one object per distinct subspace
     last_rows: dict[frozenset, bytes] = {}
 
     def extend(span: frozenset, u: int) -> frozenset:
         if u not in span and (span, u) not in grown:
-            grown[span, u] = frozenset(
+            new = frozenset(
                 index[tuple(add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u]))]
                 for s in span
                 for c in range(q)
             )
+            grown[span, u] = spans.setdefault(new, new)
         return grown.get((span, u), span)
 
     def fill(span: frozenset, row: int, offset: int) -> None:

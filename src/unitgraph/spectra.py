@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .characters import _BYTE_MAX_P, _exponents, _shift_tables
 from .cyclotomic import Cyclotomic
-from .errors import InexactDivisionError
+from .errors import CheckFailedError, InexactDivisionError
 from .fields import FieldContext
 from .matrices import (
     DEFAULT_ENUM_CAP,
@@ -59,30 +59,30 @@ class Spectrum:
     lines: tuple[SpectrumLine, ...]
 
     def validate(self) -> "Spectrum":
-        """Check the structural identities; raises ValueError on failure.
+        """Check the structural identities; raises CheckFailedError on failure.
 
         Violations here mean an implementation bug, not bad user input:
         multiplicities must partition all q^(n^2) labels and the weighted
         eigenvalue sum must vanish because the graph has no loops.
         """
         if len(self.lines) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} spectrum lines, got {len(self.lines)}")
+            raise CheckFailedError(f"expected {self.n + 1} spectrum lines, got {len(self.lines)}")
         for r, line in enumerate(self.lines):
             if line.rank != r:
-                raise ValueError(f"line {r} carries rank {line.rank}")
+                raise CheckFailedError(f"line {r} carries rank {line.rank}")
             if line.multiplicity < 1:
-                raise ValueError(f"rank {r} has multiplicity {line.multiplicity} < 1")
+                raise CheckFailedError(f"rank {r} has multiplicity {line.multiplicity} < 1")
         total = sum(line.multiplicity for line in self.lines)
         if total != self.q ** (self.n * self.n):
-            raise ValueError(
+            raise CheckFailedError(
                 f"multiplicities sum to {total}, expected {self.q ** (self.n * self.n)}"
             )
         if not trace_identity_holds(self):
-            raise ValueError("weighted eigenvalue sum is nonzero")
+            raise CheckFailedError("weighted eigenvalue sum is nonzero")
         if self.n == 3:
             values = [line.eigenvalue for line in self.lines]
             if len(set(values)) != 4:
-                raise ValueError(f"eigenvalues not pairwise distinct: {values}")
+                raise CheckFailedError(f"eigenvalues not pairwise distinct: {values}")
         return self
 
     def to_json_dict(self) -> dict:

@@ -100,6 +100,13 @@ def test_verify_flag_beats_env(capsys, monkeypatch):
     assert "[PASS] graph-eigenvectors" in out
 
 
+def test_verify_graph_route_passes_when_the_enumeration_is_skipped(capsys):
+    # a graph within its cap is still checked when the enumeration cap is lower
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "2", "--max-enum", "10")
+    assert code == 0
+    assert "[SKIP] trace-identity: 16 matrices over cap 10" in out
+    assert "[PASS] graph-eigenvectors" in out
+
 def test_verify_reports_graph_route_failures(capsys, monkeypatch):
     from unitgraph import graph as graph_mod
     from unitgraph.errors import EigenvectorMismatchError
@@ -273,6 +280,12 @@ def test_gap_random_size_zero_reaches_the_library(capsys):
     assert "subsets must be nonempty" in err
 
 
+def test_gap_random_subsets_past_the_sampler_limit_hit_a_cap(capsys):
+    # 131^9 > sys.maxsize: random.sample cannot take len() of the index range
+    code, out, err = run(capsys, "gap", "--q", "131", "--random-size", "5")
+    assert code == 3
+    assert out == "" and "cannot sample from" in err and len(err.splitlines()) == 1
+
 def test_gap_rejects_repeated_matrices(capsys, tmp_path):
     # 75 copies of one matrix clear the size bound but are one matrix, not 75
     dup = tmp_path / "dup.idx"
@@ -305,6 +318,100 @@ def test_spectrum_n3_validates_modulus_options(capsys, tmp_path):
     code, out, _ = run(capsys, "spectrum", "--q", "4", "--modulus", "1,1,1", "--format", "json")
     assert code == 0 and out == plain
 
+
+
+def test_verify_reports_inexact_division_as_failures(capsys, monkeypatch):
+    from unitgraph import spectra
+    from unitgraph.errors import InexactDivisionError
+
+    def inexact(q, n, r):
+        raise InexactDivisionError(f"rank count division left remainder 1 (q={q}, n={n}, r={r})")
+
+    monkeypatch.setattr(spectra, "rank_count", inexact)
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2")
+    assert code == 1
+    assert "[FAIL] multiplicities-formula-vs-census: rank count division left remainder 1" in out
+    assert "[FAIL] trace-identity: rank count division left remainder 1" in out
+    assert out.endswith("failed at: multiplicities-formula-vs-census\n")
+    assert err == ""
+
+
+def test_verify_reports_failed_validation_as_a_check_failure(capsys, monkeypatch):
+    from unitgraph import spectra
+
+    monkeypatch.setattr(spectra, "trace_identity_holds", lambda spectrum: False)
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2", "--format", "json")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["trace-identity"] == {
+        "name": "trace-identity",
+        "status": "fail",
+        "detail": "weighted eigenvalue sum is nonzero",
+    }
+    assert checks["graph-eigenvectors"]["status"] == "fail"
+    assert err == ""
+
+
+def test_charsum_not_rational_is_a_check_failure(capsys, monkeypatch):
+    from unitgraph import Cyclotomic
+    from unitgraph.errors import NotRationalError
+
+    def not_rational(self):
+        raise NotRationalError("character sum did not collapse to an integer")
+
+    monkeypatch.setattr(Cyclotomic, "to_int", not_rational)
+    code, out, err = run(capsys, "charsum", "--q", "3", "--n", "2", "--rank", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "check failed: character sum did not collapse to an integer\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "verify", "charsum", "census", "export-graph"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_nonpositive_n_is_a_usage_error(capsys, command, n):
+    code, out, err = run(capsys, command, "--q", "2", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--p", "1021", "--n", "2"],
+        ["charsum", "--p", "1021", "--n", "2"],
+        ["census", "--p", "1021", "--n", "2"],
+        ["export-graph", "--p", "1021", "--n", "2"],
+    ],
+)
+def test_size_cap_is_checked_before_field_tables(capsys, monkeypatch, argv):
+    from unitgraph import fields
+
+    def no_tables(self):
+        raise AssertionError("field tables built for an over-cap request")
+
+    monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
+    monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and "cap" in err and len(err.splitlines()) == 1
+    # a bad field is still a usage error, whatever the size
+    code, _, err = run(capsys, argv[0], "--q", "1022", "--n", "2")
+    assert code == 2
+    assert "not a prime power" in err
+
+
+def test_verify_with_every_check_skipped_exits_3(capsys):
+    code, out, err = run(capsys, "verify", "--p", "509", "--n", "2", "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert [c["status"] for c in payload["checks"]] == ["skipped"] * 3
+    assert len(err.splitlines()) == 1 and "no check ran" in err
+    # skipping only the graph checks still passes
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2", "--max-graph", "10")
+    assert code == 0 and err == ""
+    assert "[SKIP] graph-checks" in out
 
 GOLDEN = Path(__file__).parent / "golden"
 

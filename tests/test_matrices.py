@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -212,6 +213,18 @@ def test_rank_table_build_leaves_no_garbage_cycle():
     finally:
         gc.enable()
 
+
+
+def test_rank_table_build_peak_stays_near_the_table():
+    # a subspace reached along many row orders is held once, not per path
+    ctx = field_of_order(5)
+    tracemalloc.start()
+    try:
+        table = _rank_table.__wrapped__(ctx, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(table)
 
 def test_index_file_parsing():
     lines = ["0", "# comment", "", "511"]

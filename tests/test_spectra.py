@@ -11,6 +11,7 @@ import random
 import pytest
 
 from unitgraph import (
+    CheckFailedError,
     InexactDivisionError,
     Matrix,
     SizeTooLargeError,
@@ -240,15 +241,15 @@ def test_trace_identity_flags_tampering():
 
 def test_spectrum_validate_errors():
     good = spectrum_closed_form(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailedError):
         Spectrum(2, 3, good.lines[:3]).validate()  # missing a line
     bad_mult = (
         good.lines[:3] + (SpectrumLine(3, good.lines[3].eigenvalue, good.lines[3].multiplicity + 1),)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailedError):
         Spectrum(2, 3, bad_mult).validate()
     swapped = (good.lines[1], good.lines[0]) + good.lines[2:]
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckFailedError):
         Spectrum(2, 3, swapped).validate()
 
 
