@@ -9,8 +9,13 @@ constant term first.  Every element is identified with an integer index
 so enumeration by increasing index is exactly lexicographic coefficient
 order with the constant term varying fastest.  A ``FieldContext`` holds
 full addition/multiplication/inverse/trace lookup tables, which keeps all
-arithmetic exact and O(1); the intended scale is small (q <= 27 for
-enumeration work), so table size is never a concern.
+arithmetic exact and O(1).  The tables come from index arithmetic: the
+addition rows are built one base-p digit at a time, each digit a cyclic
+rotation of blocks of the rows built so far, and multiplication,
+inverses and the Frobenius steps of the trace are lookups in the power
+and log tables of one generator of the multiplicative group.  The tables
+are dense q x q, so the order is limited to 4096 (about 2 s to build);
+enumeration work stays at q <= 27.
 
 The absolute trace maps a in F_{p^k} to a + a^p + ... + a^(p^(k-1)),
 which always lands in the prime subfield and is returned as a plain
@@ -25,6 +30,7 @@ independent of the basis choice.
 from __future__ import annotations
 
 import functools
+import itertools
 from importlib import resources
 from typing import Iterator, Optional, Sequence, Union
 
@@ -270,60 +276,68 @@ class FieldContext:
         return index
 
     def _build_tables(self) -> None:
+        """Every table by index arithmetic, with no product per entry.
+
+        Addition adds base-p digits mod p, so row i + s*b (i < b, b a power
+        of p) is row i with the p blocks of b entries in every run of p*b
+        rotated by s: the rows are built one digit at a time.  The nonzero
+        elements are the powers of one generator g, so with its power and
+        log tables a product adds logs mod q-1, an inverse negates a log
+        and the Frobenius a -> a^p multiplies it by p.
+        """
         p, k, q = self.p, self.k, self.q
-        decode = [self._decode(i) for i in range(q)]
-
-        add = []
-        for i in range(q):
-            a = decode[i]
-            add.append(
+        add = [tuple(range(q))]
+        b = 1
+        while b < q:
+            run = p * b
+            add += [
                 tuple(
-                    self._encode([(x + y) % p for x, y in zip(a, decode[j])])
-                    for j in range(q)
+                    itertools.chain.from_iterable(
+                        row[r + s * b : r + run] + row[r : r + s * b] for r in range(0, q, run)
+                    )
                 )
-            )
+                for s in range(1, p)
+                for row in add
+            ]
+            b = run
         object.__setattr__(self, "_add", tuple(add))
-        object.__setattr__(
-            self, "_neg", tuple(self._encode([(-x) % p for x in decode[i]]) for i in range(q))
-        )
+        object.__setattr__(self, "_neg", tuple(row.index(0) for row in add))
 
-        def mul_poly(a: Sequence[int], b: Sequence[int]) -> int:
+        def mul_poly(a: int, b: int) -> int:
             prod = [0] * (2 * k - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        prod[i + j] = (prod[i + j] + x * y) % p
-            _, rem = _poly_divmod(prod, self.modulus, p)
-            rem += [0] * (k - len(rem))
-            return self._encode(rem)
+            for i, x in enumerate(self._decode(a)):
+                for j, y in enumerate(self._decode(b)):
+                    prod[i + j] += x * y
+            return self._encode(_poly_divmod(prod, self.modulus, p)[1])
 
-        mul = []
-        for i in range(q):
-            a = decode[i]
-            mul.append(tuple(mul_poly(a, decode[j]) for j in range(q)))
-        object.__setattr__(self, "_mul", tuple(mul))
+        order = q - 1
+        for g in range(1, q):  # log[g^e] = e until a power repeats
+            log = {1: 0}
+            x = g
+            while x not in log:
+                log[x] = len(log)
+                x = mul_poly(x, g)
+            if x == 1 and len(log) == order:
+                break
+        else:
+            raise CheckFailedError(f"no generator of the multiplicative group of {self!r}")
+        powers = list(log)
+        logs = [log[i] for i in range(1, q)]
+        twice = powers * 2
+        object.__setattr__(
+            self,
+            "_mul",
+            ((0,) * q,) + tuple((0, *map(twice[e : e + order].__getitem__, logs)) for e in logs),
+        )
+        object.__setattr__(self, "_inv", (None, *(powers[-e] for e in logs)))
 
-        inv: list[Optional[int]] = [None] * q
-        for i in range(1, q):
-            row = mul[i]
-            for j in range(1, q):
-                if row[j] == 1:
-                    inv[i] = j
-                    break
-        object.__setattr__(self, "_inv", tuple(inv))
-
-        # absolute trace: a + a^p + ... + a^(p^(k-1)), always in F_p;
-        # Frobenius computed as p-fold multiplication (p is tiny here)
-        trace = []
-        for i in range(q):
-            t = i
+        # absolute trace: a + a^p + ... + a^(p^(k-1)), always in F_p
+        frobenius = [p**j % order for j in range(1, k)]
+        trace = [0]
+        for i, e in enumerate(logs, 1):
             acc = i
-            for _ in range(k - 1):
-                tp = 1
-                for _ in range(p):
-                    tp = mul[tp][t]
-                t = tp
-                acc = add[acc][t]
+            for f in frobenius:
+                acc = add[acc][powers[e * f % order]]
             if acc >= p:
                 raise CheckFailedError(
                     f"trace of element {i} in {self!r} fell outside the prime subfield"
@@ -413,18 +427,6 @@ class FieldElement:
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)
         return self * other.inverse()
-
-    def __pow__(self, exponent: int) -> "FieldElement":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = FieldElement(self.ctx, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     def trace(self) -> int:
         """Absolute trace into the prime subfield, as an int in [0, p)."""

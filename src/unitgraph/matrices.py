@@ -316,11 +316,11 @@ def enumerate_invertible(
 def _rank_table(ctx: FieldContext, n: int) -> bytes:
     """The rank of every matrix: byte ``t`` is the rank of matrix ``t``.
 
-    Rows 0..n-2 are chosen one at a time, carrying their span as a
-    frozenset of row indices (a row's index is its own n digits of the
-    matrix index).  The last row is the most significant digit block, so
-    the q^n completions of one prefix sit at stride q^(n(n-1)) and take
-    one slice assignment: rank(prefix) inside the span, one more outside.
+    Rows n-1..1 are chosen first, most significant first, and their span
+    is carried as a frozenset of row indices (a row's index is its own n
+    digits of the matrix index).  Row 0 is the least significant digit
+    block, so the q^n completions of one choice are contiguous: rank(span)
+    inside the span, one more outside.
 
     Callers check their own enumeration cap first; the table is uncapped.
     """
@@ -328,34 +328,29 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
     add, mul = ctx._add, ctx._mul
     vectors = [rev[::-1] for rev in itertools.product(range(q), repeat=n)]
     index = {v: u for u, v in enumerate(vectors)}
-    table = bytearray(q ** (n * n))
-    grown: dict[tuple[frozenset, int], frozenset] = {}
     spans: dict[frozenset, frozenset] = {}  # one object per distinct subspace
-    last_rows: dict[frozenset, bytes] = {}
 
+    @functools.cache
     def extend(span: frozenset, u: int) -> frozenset:
-        if u not in span and (span, u) not in grown:
-            new = frozenset(
-                index[tuple(add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u]))]
-                for s in span
-                for c in range(q)
-            )
-            grown[span, u] = spans.setdefault(new, new)
-        return grown.get((span, u), span)
+        if u in span:
+            return span
+        new = frozenset(
+            index[tuple(add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u]))]
+            for s in span
+            for c in range(q)
+        )
+        return spans.setdefault(new, new)
 
-    def fill(span: frozenset, row: int, offset: int) -> None:
-        if row < n - 1:
-            for u in range(size):
-                fill(extend(span, u), row + 1, offset + u * size**row)
-            return
-        if span not in last_rows:
-            rank = next(r for r in range(n) if q**r == len(span))
-            last_rows[span] = bytes(rank + (u not in span) for u in range(size))
-        table[offset :: size ** (n - 1)] = last_rows[span]
+    @functools.cache
+    def complete(span: frozenset) -> bytes:
+        rank = next(r for r in range(n) if q**r == len(span))
+        return bytes(rank + (u not in span) for u in range(size))
 
-    fill(frozenset([0]), 0, 0)
-    del fill  # it refers to itself: break the cycle so the spans are freed now
-    return bytes(table)
+    zero = frozenset([0])
+    return b"".join(
+        complete(functools.reduce(extend, rows, zero))
+        for rows in itertools.product(range(size), repeat=n - 1)
+    )
 
 
 def gl_order(q: int, n: int) -> int:

@@ -401,6 +401,40 @@ def test_size_cap_is_checked_before_field_tables(capsys, monkeypatch, argv):
     assert "not a prime power" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--subset-file-y", "missing.idx"], "--subset-file-y needs --subset-file"),
+        ([], "pass --subset-file or --random-size"),
+        (["--random-size", "5", "--trials", "0"], "--trials must be >= 1"),
+    ],
+)
+def test_gap_options_are_checked_before_field_tables(capsys, monkeypatch, extra, message):
+    from unitgraph import fields
+
+    def no_tables(self):
+        raise AssertionError("field tables built for a usage error")
+
+    monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
+    monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
+    code, out, err = run(capsys, "gap", "--p", "1021", *extra)
+    assert code == 2
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_verify_scans_simplicity_once(capsys, monkeypatch):
+    # build_graph runs the scan; the structure check reads its result
+    from unitgraph import graph as graph_mod
+
+    calls = []
+    scan = graph_mod.is_simple
+    monkeypatch.setattr(graph_mod, "is_simple", lambda graph: calls.append(1) or scan(graph))
+    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "2")
+    assert code == 0
+    assert "[PASS] graph-structure: 16 vertices, degree 6, simple=True" in out
+    assert len(calls) == 1
+
+
 def test_verify_with_every_check_skipped_exits_3(capsys):
     code, out, err = run(capsys, "verify", "--p", "509", "--n", "2", "--format", "json")
     assert code == 3

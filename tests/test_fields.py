@@ -6,6 +6,7 @@ import random
 import pytest
 
 from unitgraph import (
+    CheckFailedError,
     ContextMismatchError,
     NonPrimeError,
     ReducibleModulusError,
@@ -14,7 +15,16 @@ from unitgraph import (
     field_of_order,
     prime_power,
 )
-from unitgraph.fields import _parse_modulus_table, default_modulus_table, poly_str
+from unitgraph import fields
+from unitgraph.fields import (
+    FieldContext,
+    _check_irreducible,
+    _parse_modulus_table,
+    _poly_divmod,
+    default_modulus_table,
+    is_prime,
+    poly_str,
+)
 
 EXHAUSTIVE_ORDERS = [2, 3, 4, 5, 7, 8, 9]
 SAMPLED_ORDERS = [16, 25, 27]
@@ -196,3 +206,76 @@ def test_field_of_order():
     assert field_of_order(9).q == 9
     with pytest.raises(ValueError):
         field_of_order(6)
+
+
+def polynomial_tables(ctx):
+    """Reference build: one polynomial product per table entry, inverses by
+    a row scan and each Frobenius step as p-fold multiplication."""
+    p, k, q = ctx.p, ctx.k, ctx.q
+    decode = [ctx._decode(i) for i in range(q)]
+    add = tuple(
+        tuple(ctx._encode([(x + y) % p for x, y in zip(a, b)]) for b in decode) for a in decode
+    )
+    neg = tuple(ctx._encode([-x % p for x in a]) for a in decode)
+
+    def mul_poly(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+        _, rem = _poly_divmod(prod, ctx.modulus, p)
+        return ctx._encode(rem + [0] * (k - len(rem)))
+
+    mul = tuple(tuple(mul_poly(a, b) for b in decode) for a in decode)
+    inv = (None,) + tuple(row.index(1) for row in mul[1:])
+    trace = []
+    for i in range(q):
+        t = acc = i
+        for _ in range(k - 1):
+            tp = 1
+            for _ in range(p):
+                tp = mul[tp][t]
+            t = tp
+            acc = add[acc][t]
+        trace.append(acc)
+    return add, mul, neg, inv, tuple(trace)
+
+
+def tables(ctx):
+    return ctx._add, ctx._mul, ctx._neg, ctx._inv, ctx._trace
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_tables_match_polynomial_products(p, k):
+    # every monic irreducible modulus, primitive or not (x^2 + 1 over F_3)
+    moduli = []
+    for low in itertools.product(range(p), repeat=k):
+        try:
+            _check_irreducible(low + (1,), p)
+        except ReducibleModulusError:
+            continue
+        moduli.append(low + (1,))
+        ctx = FieldContext(p, k, moduli[-1])
+        assert tables(ctx) == polynomial_tables(ctx), moduli[-1]
+    assert moduli
+
+
+@pytest.mark.parametrize("p", [p for p in range(256) if is_prime(p)] + [257, 509, 1021])
+def test_prime_field_tables_are_modular_arithmetic(p):
+    ctx = FieldContext(p, 1, (0, 1))
+    assert tables(ctx) == (
+        tuple(tuple((a + b) % p for b in range(p)) for a in range(p)),
+        tuple(tuple(a * b % p for b in range(p)) for a in range(p)),
+        tuple(-a % p for a in range(p)),
+        (None, *(pow(a, -1, p) for a in range(1, p))),
+        tuple(range(p)),
+    )
+
+
+def test_no_generator_is_a_check_failure(monkeypatch):
+    # only a reducible modulus lacks one, so let two past the check
+    monkeypatch.setattr(fields, "_check_irreducible", lambda modulus, p: None)
+    for modulus in [(0, 0, 1), (0, 1, 1), (1, 0, 1)]:
+        with pytest.raises(CheckFailedError, match="no generator"):
+            FieldContext(2, 2, modulus)
