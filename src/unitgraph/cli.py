@@ -24,7 +24,7 @@ from . import gap as gap_mod
 from . import graph as graph_mod
 from . import matrices, spectra
 from .errors import CheckFailedError, SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext, field, is_prime, load_modulus_table, prime_power
+from .fields import FieldContext, field, field_modulus, is_prime, load_modulus_table, prime_power
 
 # (exception class, exit code, stderr prefix): an exception leaving a
 # subcommand is reported through the first row it is an instance of
@@ -105,9 +105,10 @@ def _resolve_pk(args) -> tuple[int, int]:
     return pk
 
 
-def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
-    """The field of the options; q^(n^2) is held to ``cap`` (if given)
-    before any field table is built."""
+def _resolve_field(args, cap: Optional[int] = None) -> tuple[int, int, tuple[int, ...]]:
+    """(p, k, modulus) of the field options, checked as ``field`` checks
+    them but with no table built; q^(n^2) is held to ``cap`` (if given)
+    first."""
     p, k = _resolve_pk(args)
     if cap is not None and (p**k) ** (args.n**2) > cap:
         raise SizeTooLargeError(f"{p**k}^{args.n**2} matrices exceed the cap {cap}")
@@ -120,7 +121,13 @@ def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
             table = load_modulus_table(args.modulus_file)
         except OSError as exc:
             raise ValueError(f"cannot read modulus file {args.modulus_file}: {exc}")
-    return field(p, k, modulus=modulus, modulus_table=table)
+    return p, k, field_modulus(p, k, modulus=modulus, modulus_table=table)
+
+
+def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
+    """The field of the options, built after ``_resolve_field``'s checks."""
+    p, k, modulus = _resolve_field(args, cap)
+    return field(p, k, modulus=modulus)
 
 
 # Each subcommand returns (json payload, text lines, verdict).  main prints
@@ -137,11 +144,10 @@ def _cmd_spectrum(args):
     if args.n == 3:
         # closed forms need no field, but given modulus options must be valid
         if args.modulus or args.modulus_file:
-            q = _resolve_context(args).q
+            p, k, _ = _resolve_field(args)
         else:
             p, k = _resolve_pk(args)
-            q = p**k
-        spectrum = spectra.spectrum_closed_form(q)
+        spectrum = spectra.spectrum_closed_form(p**k)
     else:
         ctx = _resolve_context(args, enum_cap)
         spectrum = spectra.spectrum_brute_force(ctx, args.n, cap=enum_cap)
@@ -161,8 +167,11 @@ def _cmd_spectrum(args):
 # verify
 
 
-def _verify_checks(ctx: FieldContext, n: int, enum_cap: int, graph_cap: int) -> list[dict]:
-    q, order = ctx.q, matrices.matrix_count(ctx, n)
+def _verify_checks(
+    q: int, ctx: Optional[FieldContext], n: int, enum_cap: int, graph_cap: int
+) -> list[dict]:
+    """The checks of ``verify``; ``ctx`` is read only by checks under a cap."""
+    order = q ** (n * n)
     checks: list[dict] = []
     spectrum = graph = None
 
@@ -241,11 +250,14 @@ def _verify_checks(ctx: FieldContext, n: int, enum_cap: int, graph_cap: int) -> 
 
 def _cmd_verify(args):
     enum_cap, graph_cap = _caps(args)
-    ctx = _resolve_context(args)
-    checks = _verify_checks(ctx, args.n, enum_cap, graph_cap)
+    p, k, modulus = _resolve_field(args)
+    q, n = p**k, args.n
+    # over both caps every check is skipped or reads only q: build no table
+    ctx = field(p, k, modulus=modulus) if q ** (n * n) <= max(enum_cap, graph_cap) else None
+    checks = _verify_checks(q, ctx, n, enum_cap, graph_cap)
     failed = [c["name"] for c in checks if c["status"] == "fail"]
     tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
-    lines = [f"verification, q={ctx.q}, n={args.n}"]
+    lines = [f"verification, q={q}, n={n}"]
     lines += [f"  [{tags[c['status']]}] {c['name']}: {c['detail']}" for c in checks]
     verdict = None
     if failed:
@@ -253,7 +265,7 @@ def _cmd_verify(args):
         verdict = CheckFailedError()
     elif all(c["status"] == "skipped" for c in checks):
         verdict = SizeTooLargeError("no check ran: every check is over a size cap")
-    payload = {"q": ctx.q, "n": args.n, "passed": not failed, "checks": checks}
+    payload = {"q": q, "n": n, "passed": not failed, "checks": checks}
     return payload, lines, verdict
 
 
@@ -338,10 +350,10 @@ def _cmd_census(args):
 # gap
 
 
-def _read_subset(path: str, ctx: FieldContext, n: int) -> list[matrices.Matrix]:
+def _read_subset(path: str, ctx: FieldContext, n: int) -> gap_mod.IndexSubset:
     try:
         with open(path, encoding="utf-8") as fh:
-            return matrices.matrices_from_index_file(ctx, n, fh)
+            return gap_mod.IndexSubset(ctx, n, matrices.indices_from_index_file(ctx, n, fh))
     except OSError as exc:
         raise ValueError(f"cannot read subset file {path}: {exc}")
     except ValueError as exc:
@@ -367,8 +379,8 @@ def _cmd_gap(args):
         for t in range(args.trials):
             trial_seed = args.seed + t
             rng = random.Random(trial_seed)
-            xs = gap_mod.random_subset(ctx, n, args.random_size, rng)
-            ys = gap_mod.random_subset(ctx, n, args.random_size, rng)
+            xs = gap_mod.random_index_subset(ctx, n, args.random_size, rng)
+            ys = gap_mod.random_index_subset(ctx, n, args.random_size, rng)
             reports.append(gap_mod.check_spectral_gap(xs, ys, seed=trial_seed))
 
     lines = [

@@ -211,6 +211,24 @@ def load_modulus_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
 # field context and elements
 
 
+def _checked_modulus(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
+    """The modulus reduced mod p, once F_{p^k} passes every check a
+    ``FieldContext`` makes before it builds its tables."""
+    if not is_prime(p):
+        raise NonPrimeError(f"{p} is not prime")
+    if k < 1:
+        raise ValueError(f"extension degree must be >= 1, got {k}")
+    modulus = tuple(c % p for c in modulus)
+    if len(modulus) != k + 1 or modulus[-1] != 1:
+        raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
+    _check_irreducible(modulus, p)
+    if p**k > _MAX_TABLE_ORDER:
+        raise SizeTooLargeError(
+            f"field order {p**k} exceeds the table limit {_MAX_TABLE_ORDER}"
+        )
+    return modulus
+
+
 class FieldContext:
     """A finite field F_{p^k} with dense arithmetic tables.
 
@@ -222,22 +240,10 @@ class FieldContext:
     __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv", "_trace", "_hash")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
-        if not is_prime(p):
-            raise NonPrimeError(f"{p} is not prime")
-        if k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {k}")
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
-        _check_irreducible(modulus, p)
-        q = p**k
-        if q > _MAX_TABLE_ORDER:
-            raise SizeTooLargeError(
-                f"field order {q} exceeds the table limit {_MAX_TABLE_ORDER}"
-            )
+        modulus = _checked_modulus(p, k, modulus)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", p**k)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_hash", hash((p, k, modulus)))
         self._build_tables()
@@ -467,13 +473,14 @@ def _cached_context(p: int, k: int, modulus: tuple[int, ...]) -> FieldContext:
     return FieldContext(p, k, modulus)
 
 
-def field(
+def field_modulus(
     p: int,
     k: int = 1,
     modulus: Optional[Sequence[int]] = None,
     modulus_table: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
-) -> FieldContext:
-    """Build (or fetch from cache) the field F_{p^k}.
+) -> tuple[int, ...]:
+    """The modulus ``field`` would build F_{p^k} with, after every check
+    it makes, without building any table.
 
     For k = 1 the modulus is the placeholder ``x`` and need not be given.
     For k >= 2 an explicit modulus wins; otherwise the modulus table is
@@ -486,15 +493,25 @@ def field(
     if k == 1:
         if modulus is not None and tuple(c % p for c in modulus) != (0, 1):
             raise ValueError("prime fields use the fixed placeholder modulus x")
-        return _cached_context(p, 1, (0, 1))
-    if modulus is None:
+        modulus = (0, 1)
+    elif modulus is None:
         table = modulus_table if modulus_table is not None else default_modulus_table()
         if (p, k) not in table:
             raise UnsupportedFieldError(
                 f"no modulus on file for GF({p}^{k}); pass one explicitly"
             )
         modulus = table[(p, k)]
-    return _cached_context(p, k, tuple(c % p for c in modulus))
+    return _checked_modulus(p, k, modulus)
+
+
+def field(
+    p: int,
+    k: int = 1,
+    modulus: Optional[Sequence[int]] = None,
+    modulus_table: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
+) -> FieldContext:
+    """Build (or fetch from cache) the field F_{p^k} (see ``field_modulus``)."""
+    return _cached_context(p, k, field_modulus(p, k, modulus, modulus_table))
 
 
 def field_of_order(

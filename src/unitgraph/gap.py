@@ -17,29 +17,37 @@ witness, the theorem (or more likely this implementation) is broken, and
 a ``TheoremViolationError`` tripwire goes off.  The bound is about sets,
 so a subset that lists one matrix twice is rejected with a ``ValueError``.
 
+Every check runs on matrix enumeration indices.  An ``IndexSubset`` (what
+the CLI reads and draws) hands its index list over as it is; a plain list
+of matrices is mapped through ``matrix_to_index``.  From an
+``IndexSubset`` a ``Matrix`` is built only for the two matrices of a
+witness.
+
 The scan visits the pairs (a, b) in input order and takes one of two
 routes, chosen from q^(n^2) alone.  Up to ``DEFAULT_ENUM_CAP`` matrices it
 reads invertibility from the cached rank table: a matrix index is a
 base-q number whose digits are the entries, so index(b - a) is a sum of
-one looked-up term per block of digits (per row, at n = 3).  Above the
-cap (n = 3 and q >= 7) it computes the unrolled determinant of every
-b - a.  Both routes return the same pair.
+one looked-up term per block of digits (per row, at n = 3), and each
+block of an index is one integer division away.  Above the cap (n = 3 and
+q >= 7) it computes the unrolled determinant of every b - a.  Both routes
+return the same pair.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext
-from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _rank_table, matrix_count
+from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _index_digits, _rank_table
+from .matrices import matrix_count, matrix_from_index, matrix_to_index
 from .spectra import eigenvalue_closed_form
 
 
@@ -108,14 +116,53 @@ class GapReport:
         }
 
 
+class IndexSubset(Sequence[Matrix]):
+    """A sequence of matrices in Mat_n(F_q) held as enumeration indices.
+
+    The checks and scans read ``indices`` and build no ``Matrix``.  Item
+    ``i`` is built from its index on first access and kept, so a position
+    always returns the same object.
+    """
+
+    def __init__(self, ctx: FieldContext, n: int, indices: list[int]):
+        total = matrix_count(ctx, n)
+        if indices and not (0 <= min(indices) and max(indices) < total):
+            raise ValueError(f"matrix indices out of range [0, {total})")
+        self.ctx, self.n, self.indices = ctx, n, indices
+        self._built: dict[int, Matrix] = {}
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i: int) -> Matrix:
+        k = range(len(self.indices))[i]  # IndexError past either end
+        m = self._built.get(k)
+        if m is None:
+            m = self._built[k] = matrix_from_index(self.ctx, self.n, self.indices[k])
+        return m
+
+
+def _contexts(subset: Sequence[Matrix]) -> Iterable[tuple[FieldContext, int]]:
+    if isinstance(subset, IndexSubset):
+        return [(subset.ctx, subset.n)]
+    return ((m.ctx, m.n) for m in subset)
+
+
 def _shared_context(xs: Sequence[Matrix], ys: Sequence[Matrix]) -> tuple[FieldContext, int]:
     if not xs or not ys:
         raise ValueError("subsets must be nonempty")
-    ctx, n = xs[0].ctx, xs[0].n
-    for m in itertools.chain(xs, ys):
-        if (m.ctx is not ctx and m.ctx != ctx) or m.n != n:
+    contexts = itertools.chain(_contexts(xs), _contexts(ys))
+    ctx, n = next(contexts)
+    for c, k in contexts:
+        if (c is not ctx and c != ctx) or k != n:
             raise ContextMismatchError("subset matrices built over different contexts")
     return ctx, n
+
+
+def _indices(subset: Sequence[Matrix]) -> list[int]:
+    if isinstance(subset, IndexSubset):
+        return subset.indices
+    return list(map(matrix_to_index, subset))
 
 
 def find_invertible_difference(
@@ -123,65 +170,68 @@ def find_invertible_difference(
 ) -> Optional[tuple[Matrix, Matrix]]:
     """First (a, b) in input order (a over xs outer, b over ys inner) with
     b - a invertible, or None.  Note b - a invertible forces b != a, so a
-    single-set query never returns a degenerate pair."""
+    single-set query never returns a degenerate pair.  The pair is the
+    objects ``xs[i]`` and ``ys[j]`` themselves."""
     ctx, n = _shared_context(xs, ys)
-    if matrix_count(ctx, n) <= DEFAULT_ENUM_CAP:
-        return _table_scan(ctx, n, xs, ys)
-    return _pairwise_scan(ctx, n, xs, ys)
+    scan = _table_scan if matrix_count(ctx, n) <= DEFAULT_ENUM_CAP else _pairwise_scan
+    hit = scan(ctx, n, _indices(xs), _indices(ys))
+    return None if hit is None else (xs[hit[0]], ys[hit[1]])
 
 
 def _pairwise_scan(
-    ctx: FieldContext, n: int, xs: Sequence[Matrix], ys: Sequence[Matrix]
-) -> Optional[tuple[Matrix, Matrix]]:
-    """The scan by one unrolled determinant per pair."""
-    add, neg = ctx._add, ctx._neg
-    for a in xs:
-        fa = a.flat
-        for b in ys:
-            diff = tuple(add[x][neg[y]] for x, y in zip(b.flat, fa))
-            if _det_flat(ctx, n, diff):
-                return (a, b)
+    ctx: FieldContext, n: int, xs: list[int], ys: list[int]
+) -> Optional[tuple[int, int]]:
+    """The scan by one unrolled determinant per pair; the positions (i, j)
+    of the first hit.  ys is decoded once, each a when it is reached."""
+    q, add, neg = ctx.q, ctx._add, ctx._neg
+    flats = [_index_digits(q, n, b) for b in ys]
+    for i, a in enumerate(xs):
+        minus_a = [neg[x] for x in _index_digits(q, n, a)]
+        for j, fb in enumerate(flats):
+            if _det_flat(ctx, n, tuple(add[x][y] for x, y in zip(fb, minus_a))):
+                return i, j
     return None
 
 
 def _table_scan(
-    ctx: FieldContext, n: int, xs: Sequence[Matrix], ys: Sequence[Matrix]
-) -> Optional[tuple[Matrix, Matrix]]:
-    """The scan by one rank-table byte per pair.
+    ctx: FieldContext, n: int, xs: list[int], ys: list[int]
+) -> Optional[tuple[int, int]]:
+    """The scan by one rank-table byte per pair; the positions (i, j) of
+    the first hit.
 
-    The n^2 digits of a matrix index are cut into three blocks of
-    consecutive digits (the rows at n = 3; a block may be empty).  The
-    blocks of ys are numbered once per call.  For each distinct block v of
-    an a, one list holds the place-weighted index of u - v for every
-    numbered block u, so index(b - a) is three list lookups and two adds.
-    The lists hold one integer per pair of distinct blocks: at n = 3
-    (q <= 5 under the cap) at most 125^2 a block.
+    The n^2 digits of a matrix index are cut into three blocks of ``width``
+    consecutive digits (the rows at n = 3; the last block may be short or
+    empty), so block k of index t is t // Q**k % Q with Q = q**width.  For
+    each distinct block v of an a, one list holds the place-weighted index
+    of u - v for every possible block u, so index(b - a) is three list
+    lookups and two adds.  One list of Q integers is built per distinct
+    block of the a's reached: Q is at most 125 at n = 3 (q <= 5 under the
+    cap) and 4096 at n <= 2.
     """
     q, table = ctx.q, _rank_table(ctx, n)
     add, neg = ctx._add, ctx._neg
     width = -(-n * n // 3)
-    blocks = [slice(start, start + width) for start in range(0, 3 * width, width)]
-    weights = [q**d for d in range(3 * width)]
-    flats = [b.flat for b in ys]
-    columns, numbers = [], []
-    for block in blocks:
-        parts = list(map(operator.itemgetter(block), flats))
-        number = {u: k for k, u in enumerate(dict.fromkeys(parts))}
-        columns.append(list(map(number.__getitem__, parts)))
-        numbers.append(number)
+    big, big2 = q**width, q ** (2 * width)
 
     @functools.cache
-    def differences(k: int, v: tuple[int, ...]) -> list[int]:
-        w, minus_v = weights[blocks[k]], [neg[x] for x in v]
-        return [sum(c * add[x][y] for c, x, y in zip(w, u, minus_v)) for u in numbers[k]]
+    def differences(k: int, v: int) -> list[int]:
+        terms, place = [0], big**k
+        for _ in range(width):  # u's next digit x adds place * (x - v's digit)
+            v, digit = divmod(v, q)
+            terms = [place * x + t for x in add[neg[digit]] for t in terms]
+            place *= q
+        return terms
 
-    numbered_ys = list(zip(ys, *columns))
-    for a in xs:
-        fa = a.flat
-        d0, d1, d2 = (differences(k, fa[block]) for k, block in enumerate(blocks))
-        for b, u0, u1, u2 in numbered_ys:
+    blocks = [(b % big, b // big % big, b // big2) for b in ys]
+    for i, a in enumerate(xs):
+        d0 = differences(0, a % big)
+        d1 = differences(1, a // big % big)
+        d2 = differences(2, a // big2)
+        for u0, u1, u2 in blocks:
             if table[d0[u0] + d1[u1] + d2[u2]] == n:
-                return (a, b)
+                # an equal b earlier in ys would have been the hit, so the
+                # first equal blocks are this b's
+                return i, blocks.index((u0, u1, u2))
     return None
 
 
@@ -199,7 +249,7 @@ def check_spectral_gap(
     if n != 3:
         raise ValueError(f"the subset bound is specific to 3x3 matrices, got n={n}")
     for name, subset in (("X", xs), ("Y", ys)):
-        if len(set(map(operator.attrgetter("flat"), subset))) < len(subset):
+        if len(set(_indices(subset))) < len(subset):
             raise ValueError(f"subset {name} lists a matrix twice; the bound is about sets")
     thr = spectral_threshold(ctx.q)
     guaranteed = len(xs) * len(ys) > thr.integer_bound**2
@@ -222,18 +272,25 @@ def check_spectral_gap(
     )
 
 
-def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> list[Matrix]:
+def random_index_subset(
+    ctx: FieldContext, n: int, size: int, rng: random.Random
+) -> IndexSubset:
     """Uniform sample of distinct matrices, reproducible from the caller's
-    seeded ``random.Random`` (indices drawn with ``rng.sample``) and decoded
-    one digit position at a time."""
+    seeded ``random.Random`` (indices drawn with ``rng.sample``)."""
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    total, q = matrix_count(ctx, n), ctx.q
+    total = matrix_count(ctx, n)
     if size > total:
         raise ValueError(f"cannot sample {size} distinct matrices from {total}")
     if total > sys.maxsize:  # rng.sample needs len(range(total))
         raise SizeTooLargeError(f"cannot sample from {total} matrices; the limit is {sys.maxsize}")
-    indices = rng.sample(range(total), size)
+    return IndexSubset(ctx, n, rng.sample(range(total), size))
+
+
+def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> list[Matrix]:
+    """The matrices of ``random_index_subset``, drawn the same way and
+    decoded one digit position at a time."""
+    indices, q = random_index_subset(ctx, n, size, rng).indices, ctx.q
     digits = []
     for _ in range(n * n):
         digits.append([t % q for t in indices])

@@ -266,12 +266,16 @@ def matrix_from_index(ctx: FieldContext, n: int, index: int) -> Matrix:
     total = matrix_count(ctx, n)
     if not 0 <= index < total:
         raise ValueError(f"matrix index {index} out of range [0, {total})")
-    q = ctx.q
+    return Matrix(ctx, n, _index_digits(ctx.q, n, index))
+
+
+def _index_digits(q: int, n: int, index: int) -> tuple[int, ...]:
+    """The flat entry tuple of the matrix with this enumeration index."""
     flat = []
     for _ in range(n * n):
         index, digit = divmod(index, q)
         flat.append(digit)
-    return Matrix(ctx, n, tuple(flat))
+    return tuple(flat)
 
 
 def matrix_to_index(m: Matrix) -> int:
@@ -371,10 +375,10 @@ def rank_census(ctx: FieldContext, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[
     return [table.count(r) for r in range(n + 1)]
 
 
-def matrices_from_index_file(
-    ctx: FieldContext, n: int, lines: Iterable[str]
-) -> list[Matrix]:
-    """Parse newline-separated enumeration indices into matrices."""
+def indices_from_index_file(ctx: FieldContext, n: int, lines: Iterable[str]) -> list[int]:
+    """Parse newline-separated enumeration indices, each checked to be in
+    range; blank lines and ``#`` comments are skipped."""
+    total = matrix_count(ctx, n)
     out = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -384,5 +388,7 @@ def matrices_from_index_file(
             idx = int(line)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: not an integer index: {raw!r}") from exc
-        out.append(matrix_from_index(ctx, n, idx))
+        if not 0 <= idx < total:
+            raise ValueError(f"line {lineno}: matrix index {idx} out of range [0, {total})")
+        out.append(idx)
     return out

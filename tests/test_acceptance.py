@@ -10,6 +10,7 @@ Run with:  pytest tests/test_acceptance.py -v -s
 import itertools
 import random
 import time
+from fractions import Fraction
 
 from unitgraph import (
     Cyclotomic,
@@ -28,12 +29,17 @@ from unitgraph import (
     is_simple,
     matrix_char,
     matrix_count,
+    matrix_to_index,
+    prime_power,
     random_subset,
     rank_census,
     rank_count,
+    spectral_threshold,
+    spectrum_brute_force,
     spectrum_closed_form,
     spectrum_from_graph,
 )
+from unitgraph import gap as gap_mod
 
 F2 = field(2)
 F3 = field(3)
@@ -171,6 +177,44 @@ def test_criterion_8_negative_control():
     assert rep.guaranteed is False  # 64 <= 74: the bound makes no claim here
     assert rep.witness is None  # and this set really has no witness pair
     report(8, "size-64 zero-row subspace yields no witness", started)
+
+
+def hoffman_bound(spectrum) -> Fraction:
+    """N (-lambda_min) / (k - lambda_min): no independent set is larger."""
+    k = next(line.eigenvalue for line in spectrum.lines if line.rank == 0)
+    least = min(line.eigenvalue for line in spectrum.lines)
+    return Fraction(spectrum.q ** (spectrum.n**2) * -least, k - least)
+
+
+def kernel_subspace(ctx, v):
+    """Every B in Mat_3(F_q) with B v = 0, as enumeration indices."""
+    add, mul = ctx._add, ctx._mul
+    rows = [
+        r for r in itertools.product(range(ctx.q), repeat=3)
+        if add[add[mul[r[0]][v[0]]][mul[r[1]][v[1]]]][mul[r[2]][v[2]]] == 0
+    ]
+    return [
+        matrix_to_index(Matrix(ctx, 3, r0 + r1 + r2))
+        for r0, r1, r2 in itertools.product(rows, repeat=3)
+    ]
+
+
+def test_criterion_10_independence_number():
+    started = time.time()
+    prime_powers = [q for q in range(2, 28) if prime_power(q)]
+    for q in prime_powers:  # closed forms at n = 3
+        assert hoffman_bound(spectrum_closed_form(q)) == q**6
+        # the subset bound clears the largest independent set by q^3 + 2
+        assert spectral_threshold(q).integer_bound - q**6 == q**3 + 2
+    for q in (q for q in prime_powers if q <= 9):  # character sums at n = 2
+        assert hoffman_bound(spectrum_brute_force(field_of_order(q), 2)) == q**2
+    # the kernel subspaces {B : B v = 0} attain q^6: no difference is invertible
+    for ctx, v in ((F2, (1, 0, 1)), (F3, (1, 2, 0))):
+        kernel = kernel_subspace(ctx, v)
+        assert len(kernel) == len(set(kernel)) == ctx.q**6
+        assert gap_mod._table_scan(ctx, 3, kernel, kernel) is None
+        assert gap_mod._pairwise_scan(ctx, 3, kernel, kernel) is None
+    report(10, "Hoffman bound q^(n(n-1)) at n = 3 (q <= 27) and n = 2 (q <= 9), attained", started)
 
 
 def test_criterion_9_all_ones_eigenvector_sanity():

@@ -1,6 +1,7 @@
 """CLI behavior: output schemas, exit codes, determinism, caps."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -210,6 +211,32 @@ def test_gap_bad_subset_file(capsys, tmp_path):
     code, _, err = run(capsys, "gap", "--q", "2", "--subset-file", str(bad))
     assert code == 2
     assert "bad subset file" in err
+
+
+@pytest.mark.parametrize("index", ["512", "-1"])
+def test_gap_subset_file_index_out_of_range(capsys, tmp_path, index):
+    bad = tmp_path / "bad.idx"
+    bad.write_text(f"7\n{index}\n")
+    code, out, err = run(capsys, "gap", "--q", "2", "--subset-file", str(bad))
+    assert code == 2 and out == ""
+    assert "bad subset file" in err and "line 2" in err and len(err.splitlines()) == 1
+
+
+def test_gap_cli_index_path_matches_the_list_path(capsys):
+    # the CLI scans index subsets; the public list[Matrix] path must agree
+    from unitgraph import check_spectral_gap, field_of_order, random_subset
+
+    code, out, _ = run(
+        capsys, "gap", "--q", "3", "--random-size", "759", "--trials", "5", "--seed", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    ctx, reports = field_of_order(3), []
+    for seed in range(2, 7):
+        rng = random.Random(seed)
+        xs, ys = random_subset(ctx, 3, 759, rng), random_subset(ctx, 3, 759, rng)
+        reports.append(check_spectral_gap(xs, ys, seed=seed).to_json_dict())
+    assert json.loads(out) == {"q": 3, "n": 3, "reports": reports}
 
 
 def test_gap_requires_input(capsys):
@@ -446,6 +473,39 @@ def test_verify_with_every_check_skipped_exits_3(capsys):
     code, out, err = run(capsys, "verify", "--q", "2", "--n", "2", "--max-graph", "10")
     assert code == 0 and err == ""
     assert "[SKIP] graph-checks" in out
+
+
+def test_verify_decides_an_all_skip_report_before_field_tables(capsys, monkeypatch):
+    from unitgraph import fields
+
+    def no_tables(self):
+        raise AssertionError("field tables built for a verify that runs no check")
+
+    monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
+    monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
+    code, out, err = run(capsys, "verify", "--p", "4093", "--n", "2")
+    assert code == 3
+    assert out == (
+        "verification, q=4093, n=2\n"
+        "  [SKIP] multiplicities-formula-vs-census: 280651248517201 matrices over cap 16777216\n"
+        "  [SKIP] trace-identity: 280651248517201 matrices over cap 16777216\n"
+        "  [SKIP] graph-checks: order 280651248517201 over graph cap 4096\n"
+    )
+    assert err == "error: no check ran: every check is over a size cap\n"
+    code, out, _ = run(capsys, "verify", "--p", "7", "--k", "2", "--modulus", "1,0,1", "--format", "json")
+    assert code == 0  # at n = 3 the trace check runs on closed forms alone
+    assert [c["status"] for c in json.loads(out)["checks"]] == ["skipped"] * 2 + ["pass", "skipped"]
+    # the field options are still checked in full
+    for extra, message in (
+        (["--modulus", "1,2"], "placeholder modulus"),
+        (["--modulus-file", "missing.txt"], "cannot read modulus file"),
+        (["--k", "2", "--modulus", "1,1,1"], "has root"),
+    ):
+        code, out, err = run(capsys, "verify", "--p", "7", "--n", "9", *extra)
+        assert code == 2 and out == "" and message in err
+    code, _, err = run(capsys, "verify", "--p", "4099", "--n", "2")
+    assert code == 3 and "exceeds the table limit" in err
+
 
 GOLDEN = Path(__file__).parent / "golden"
 

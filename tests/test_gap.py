@@ -23,6 +23,7 @@ from unitgraph import (
     spectral_threshold,
 )
 from unitgraph import gap as gap_mod
+from unitgraph.gap import IndexSubset
 
 F2 = field(2)
 F3 = field(3)
@@ -220,20 +221,76 @@ def scan_inputs(draw):
     return ctx, n, draw(subset), draw(subset), kernel
 
 
+def _indices(ms):
+    return [matrix_to_index(m) for m in ms]
+
+
 @settings(max_examples=200, deadline=None)
 @given(scan_inputs())
 def test_table_scan_matches_pairwise_scan(case):
     ctx, n, xs, ys, kernel = case
-    table = gap_mod._table_scan(ctx, n, xs, ys)
-    pairwise = gap_mod._pairwise_scan(ctx, n, xs, ys)
-    assert _same_pair(table, pairwise)
+    table = gap_mod._table_scan(ctx, n, _indices(xs), _indices(ys))
+    pairwise = gap_mod._pairwise_scan(ctx, n, _indices(xs), _indices(ys))
+    assert table == pairwise
     if kernel:
         assert table is None
+    expected = None
     if table is not None:
-        assert any(a is table[0] for a in xs) and any(b is table[1] for b in ys)
-        assert (table[1] - table[0]).is_invertible()
-    # under the enumeration cap the public scan takes the table route
-    assert _same_pair(find_invertible_difference(xs, ys), table)
+        i, j = table
+        expected = (xs[i], ys[j])
+        assert (ys[j] - xs[i]).is_invertible()
+        # the first hit in input order: no earlier pair is invertible
+        assert not any((b - xs[i]).is_invertible() for b in ys[:j])
+        assert not any((b - a).is_invertible() for a in xs[:i] for b in ys)
+    # under the enumeration cap the public scan takes the table route and
+    # returns the objects at those positions, for lists and for views alike
+    assert _same_pair(find_invertible_difference(xs, ys), expected)
+    vx, vy = IndexSubset(ctx, n, _indices(xs)), IndexSubset(ctx, n, _indices(ys))
+    found = find_invertible_difference(vx, vy)
+    assert _same_pair(found, None if table is None else (vx[table[0]], vy[table[1]]))
+
+
+@st.composite
+def gap_inputs(draw):
+    """Two subsets of Mat_3(F_q), q in {2, 3, 4}, as distinct index lists;
+    sometimes large enough at q = 2 for the bound to promise a witness."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    ctx = field_of_order(q)
+    subset = st.lists(st.integers(0, q**9 - 1), min_size=1, max_size=90, unique=True)
+    return ctx, draw(subset), draw(subset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gap_inputs())
+def test_check_spectral_gap_on_a_view_equals_the_list(case):
+    ctx, ix, iy = case
+    vx, vy = IndexSubset(ctx, 3, ix), IndexSubset(ctx, 3, iy)
+    lx, ly = list(vx), list(vy)
+    on_view, on_list = check_spectral_gap(vx, vy, seed=1), check_spectral_gap(lx, ly, seed=1)
+    assert on_view == on_list
+    for report, xs, ys in ((on_view, vx, vy), (on_list, lx, ly)):
+        if report.witness is not None:
+            a, b = report.witness
+            assert any(a is m for m in xs) and any(b is m for m in ys)
+
+
+def test_index_subset_is_a_cached_sequence():
+    view = IndexSubset(F2, 3, [5, 0, 511])
+    assert len(view) == 3
+    assert view[0] is view[0] is view[-3]
+    assert [matrix_to_index(m) for m in view] == [5, 0, 511]
+    assert all(a is b for a, b in zip(view, list(view)))
+    with pytest.raises(IndexError):
+        view[3]
+    for bad in ([512], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            IndexSubset(F2, 3, bad)
+    with pytest.raises(ContextMismatchError):
+        find_invertible_difference(view, IndexSubset(F3, 3, [0]))
+    with pytest.raises(ContextMismatchError):
+        find_invertible_difference(view, [matrix_from_index(F2, 2, 0)])
+    with pytest.raises(ValueError, match="subset X lists a matrix twice"):
+        check_spectral_gap(IndexSubset(F2, 3, [7, 7]), view)
 
 
 def test_pairwise_route_above_the_cap(monkeypatch):
@@ -242,11 +299,16 @@ def test_pairwise_route_above_the_cap(monkeypatch):
     monkeypatch.setattr(gap_mod, "_table_scan", None)
     zero, one = Matrix.zero(F7, 3), Matrix.identity(F7, 3)
     singular = Matrix.from_rows(F7, [[1, 2, 3], [4, 5, 6], [0, 0, 0]])
-    assert _same_pair(find_invertible_difference([zero], [zero, singular, one]), (zero, one))
+    ys = [zero, singular, one]
+    assert gap_mod._pairwise_scan(F7, 3, _indices([zero]), _indices(ys)) == (0, 2)
+    assert _same_pair(find_invertible_difference([zero], ys), (zero, one))
+    view, first = IndexSubset(F7, 3, _indices(ys)), IndexSubset(F7, 3, _indices([zero]))
+    assert _same_pair(find_invertible_difference(first, view), (first[0], view[2]))
     rng = random.Random(3)
     zero_row = [  # last row zero: every difference is singular
         Matrix(F7, 3, tuple(rng.randrange(7) for _ in range(6)) + (0, 0, 0)) for _ in range(12)
     ]
+    assert gap_mod._pairwise_scan(F7, 3, _indices(zero_row), _indices(zero_row)) is None
     assert find_invertible_difference(zero_row, zero_row) is None
 
 

@@ -22,7 +22,7 @@ from unitgraph import (
     rank_census,
     rank_representative,
 )
-from unitgraph.matrices import _det_flat, _eliminate, _rank_table, matrices_from_index_file
+from unitgraph.matrices import _det_flat, _eliminate, _rank_table, indices_from_index_file
 
 F2 = field(2)
 F3 = field(3)
@@ -228,10 +228,12 @@ def test_rank_table_build_peak_stays_near_the_table():
 
 def test_index_file_parsing():
     lines = ["0", "# comment", "", "511"]
-    ms = matrices_from_index_file(F2, 3, lines)
-    assert [matrix_to_index(m) for m in ms] == [0, 511]
-    with pytest.raises(ValueError):
-        matrices_from_index_file(F2, 3, ["not-a-number"])
+    assert indices_from_index_file(F2, 3, lines) == [0, 511]
+    with pytest.raises(ValueError, match="line 1: not an integer"):
+        indices_from_index_file(F2, 3, ["not-a-number"])
+    for bad in ("512", "-1"):
+        with pytest.raises(ValueError, match=f"line 2: matrix index {bad} out of range"):
+            indices_from_index_file(F2, 3, ["0", bad])
 
 
 def test_json_shape():
