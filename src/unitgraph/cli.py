@@ -14,6 +14,7 @@ the environment.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -36,10 +37,11 @@ EXIT_CODES = (
 )
 
 
-def _env_cap(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
+def _cap(flag: Optional[int], name: str, default: int) -> int:
+    """A cap: the flag, else the environment variable, else the default."""
+    if flag is not None:
+        return flag
+    raw = os.environ.get(name, str(default))
     try:
         return int(raw)
     except ValueError:
@@ -77,13 +79,23 @@ def _add_cap_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _caps(args) -> tuple[int, int]:
-    enum_cap = args.max_enum
-    if enum_cap is None:
-        enum_cap = _env_cap("UNITGRAPH_MAX_ENUM", matrices.DEFAULT_ENUM_CAP)
-    graph_cap = getattr(args, "max_graph", None)
-    if graph_cap is None:
-        graph_cap = _env_cap("UNITGRAPH_MAX_GRAPH", graph_mod.DEFAULT_MAX_ORDER)
-    return enum_cap, graph_cap
+    return (
+        _cap(args.max_enum, "UNITGRAPH_MAX_ENUM", matrices.DEFAULT_ENUM_CAP),
+        _cap(args.max_graph, "UNITGRAPH_MAX_GRAPH", graph_mod.DEFAULT_MAX_ORDER),
+    )
+
+
+def _over_cap(q: int, e: int, cap: int) -> bool:
+    """q^e > cap, with no q^e built when its bit length alone decides."""
+    return e * (q.bit_length() - 1) > cap.bit_length() or q**e > cap
+
+
+def _power(q: int, e: int) -> str:
+    """q^e in decimal where Python prints it, else written q^e."""
+    if e * (q.bit_length() - 1) <= 1 << 20:  # q^e has at least this many bits
+        with contextlib.suppress(ValueError):  # over Python's int-to-str digit limit
+            return str(q**e)
+    return f"{q}^{e}"
 
 
 def _resolve_pk(args) -> tuple[int, int]:
@@ -110,7 +122,7 @@ def _resolve_field(args, cap: Optional[int] = None) -> tuple[int, int, tuple[int
     them but with no table built; q^(n^2) is held to ``cap`` (if given)
     first."""
     p, k = _resolve_pk(args)
-    if cap is not None and (p**k) ** (args.n**2) > cap:
+    if cap is not None and _over_cap(p, k * args.n**2, cap):
         raise SizeTooLargeError(f"{p**k}^{args.n**2} matrices exceed the cap {cap}")
     modulus = None
     if args.modulus:
@@ -171,7 +183,7 @@ def _verify_checks(
     q: int, ctx: Optional[FieldContext], n: int, enum_cap: int, graph_cap: int
 ) -> list[dict]:
     """The checks of ``verify``; ``ctx`` is read only by checks under a cap."""
-    order = q ** (n * n)
+    over_graph = _over_cap(q, n * n, graph_cap)
     checks: list[dict] = []
     spectrum = graph = None
 
@@ -189,8 +201,8 @@ def _verify_checks(
         return status
 
     def enumerable() -> None:
-        if order > enum_cap:
-            raise SizeTooLargeError(f"{order} matrices over cap {enum_cap}")
+        if _over_cap(q, n * n, enum_cap):
+            raise SizeTooLargeError(f"{_power(q, n * n)} matrices over cap {enum_cap}")
 
     def eigenvalues():
         # closed-form eigenvalues vs exhaustive character sums (n = 3 only)
@@ -225,8 +237,8 @@ def _verify_checks(
     def structure():
         # the ground-truth graph; its build raises on a failed invariant
         nonlocal graph
-        if order > graph_cap:
-            raise SizeTooLargeError(f"order {order} over graph cap {graph_cap}")
+        if over_graph:
+            raise SizeTooLargeError(f"order {_power(q, n * n)} over graph cap {graph_cap}")
         graph = graph_mod.build_graph(ctx, n, max_order=graph_cap)
         return True, f"{graph.order} vertices, degree {graph.degree}, simple=True"
 
@@ -243,7 +255,7 @@ def _verify_checks(
     run("multiplicities-formula-vs-census", multiplicities)
     trace_status = run("trace-identity", trace)
     # the graph checks stop at the first that does not pass; a cap skips both
-    if run("graph-checks" if order > graph_cap else "graph-structure", structure) == "pass":
+    if run("graph-checks" if over_graph else "graph-structure", structure) == "pass":
         run("graph-eigenvectors", eigenvectors)
     return checks
 
@@ -253,7 +265,7 @@ def _cmd_verify(args):
     p, k, modulus = _resolve_field(args)
     q, n = p**k, args.n
     # over both caps every check is skipped or reads only q: build no table
-    ctx = field(p, k, modulus=modulus) if q ** (n * n) <= max(enum_cap, graph_cap) else None
+    ctx = None if _over_cap(q, n * n, max(enum_cap, graph_cap)) else field(p, k, modulus=modulus)
     checks = _verify_checks(q, ctx, n, enum_cap, graph_cap)
     failed = [c["name"] for c in checks if c["status"] == "fail"]
     tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
@@ -379,8 +391,8 @@ def _cmd_gap(args):
         for t in range(args.trials):
             trial_seed = args.seed + t
             rng = random.Random(trial_seed)
-            xs = gap_mod.random_index_subset(ctx, n, args.random_size, rng)
-            ys = gap_mod.random_index_subset(ctx, n, args.random_size, rng)
+            xs = gap_mod.random_subset(ctx, n, args.random_size, rng)
+            ys = gap_mod.random_subset(ctx, n, args.random_size, rng)
             reports.append(gap_mod.check_spectral_gap(xs, ys, seed=trial_seed))
 
     lines = [

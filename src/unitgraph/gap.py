@@ -17,11 +17,11 @@ witness, the theorem (or more likely this implementation) is broken, and
 a ``TheoremViolationError`` tripwire goes off.  The bound is about sets,
 so a subset that lists one matrix twice is rejected with a ``ValueError``.
 
-Every check runs on matrix enumeration indices.  An ``IndexSubset`` (what
-the CLI reads and draws) hands its index list over as it is; a plain list
-of matrices is mapped through ``matrix_to_index``.  From an
-``IndexSubset`` a ``Matrix`` is built only for the two matrices of a
-witness.
+Every check runs on matrix enumeration indices, held by an ``IndexSubset``
+(what ``random_subset`` draws and the CLI reads).  A plain sequence of
+matrices is numbered once, on entry, into a view that keeps its objects;
+from a drawn or read view a ``Matrix`` is built only for the two matrices
+of a witness.
 
 The scan visits the pairs (a, b) in input order and takes one of two
 routes, chosen from q^(n^2) alone.  Up to ``DEFAULT_ENUM_CAP`` matrices it
@@ -36,10 +36,9 @@ return the same pair.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -117,11 +116,11 @@ class GapReport:
 
 
 class IndexSubset(Sequence[Matrix]):
-    """A sequence of matrices in Mat_n(F_q) held as enumeration indices.
+    """Read-only matrices of Mat_n(F_q), held as enumeration indices.
 
     The checks and scans read ``indices`` and build no ``Matrix``.  Item
     ``i`` is built from its index on first access and kept, so a position
-    always returns the same object.
+    always returns the same object; a slice is the list of its items.
     """
 
     def __init__(self, ctx: FieldContext, n: int, indices: list[int]):
@@ -134,7 +133,9 @@ class IndexSubset(Sequence[Matrix]):
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, i: int) -> Matrix:
+    def __getitem__(self, i: int | slice) -> Matrix | list[Matrix]:
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self.indices))[i]]
         k = range(len(self.indices))[i]  # IndexError past either end
         m = self._built.get(k)
         if m is None:
@@ -142,27 +143,26 @@ class IndexSubset(Sequence[Matrix]):
         return m
 
 
-def _contexts(subset: Sequence[Matrix]) -> Iterable[tuple[FieldContext, int]]:
+def _as_view(subset: Sequence[Matrix]) -> IndexSubset:
+    """A view as it is; a sequence of matrices over one field and n, numbered
+    once, into a view that keeps the caller's objects at their positions."""
     if isinstance(subset, IndexSubset):
-        return [(subset.ctx, subset.n)]
-    return ((m.ctx, m.n) for m in subset)
+        return subset
+    ctx, n = subset[0].ctx, subset[0].n
+    if any((m.ctx, m.n) != (ctx, n) for m in subset):
+        raise ContextMismatchError("subset matrices built over different contexts")
+    view = IndexSubset(ctx, n, list(map(matrix_to_index, subset)))
+    view._built = dict(enumerate(subset))
+    return view
 
 
-def _shared_context(xs: Sequence[Matrix], ys: Sequence[Matrix]) -> tuple[FieldContext, int]:
+def _views(xs: Sequence[Matrix], ys: Sequence[Matrix]) -> tuple[IndexSubset, IndexSubset]:
     if not xs or not ys:
         raise ValueError("subsets must be nonempty")
-    contexts = itertools.chain(_contexts(xs), _contexts(ys))
-    ctx, n = next(contexts)
-    for c, k in contexts:
-        if (c is not ctx and c != ctx) or k != n:
-            raise ContextMismatchError("subset matrices built over different contexts")
-    return ctx, n
-
-
-def _indices(subset: Sequence[Matrix]) -> list[int]:
-    if isinstance(subset, IndexSubset):
-        return subset.indices
-    return list(map(matrix_to_index, subset))
+    vx, vy = _as_view(xs), _as_view(ys)
+    if (vx.ctx, vx.n) != (vy.ctx, vy.n):
+        raise ContextMismatchError("subset matrices built over different contexts")
+    return vx, vy
 
 
 def find_invertible_difference(
@@ -172,9 +172,9 @@ def find_invertible_difference(
     b - a invertible, or None.  Note b - a invertible forces b != a, so a
     single-set query never returns a degenerate pair.  The pair is the
     objects ``xs[i]`` and ``ys[j]`` themselves."""
-    ctx, n = _shared_context(xs, ys)
-    scan = _table_scan if matrix_count(ctx, n) <= DEFAULT_ENUM_CAP else _pairwise_scan
-    hit = scan(ctx, n, _indices(xs), _indices(ys))
+    xs, ys = _views(xs, ys)
+    scan = _table_scan if matrix_count(xs.ctx, xs.n) <= DEFAULT_ENUM_CAP else _pairwise_scan
+    hit = scan(xs.ctx, xs.n, xs.indices, ys.indices)
     return None if hit is None else (xs[hit[0]], ys[hit[1]])
 
 
@@ -245,13 +245,13 @@ def check_spectral_gap(
     query with no witness raises ``TheoremViolationError``; a subset that
     repeats a matrix raises ``ValueError``, since the sizes count sets.
     """
-    ctx, n = _shared_context(xs, ys)
-    if n != 3:
-        raise ValueError(f"the subset bound is specific to 3x3 matrices, got n={n}")
+    xs, ys = _views(xs, ys)
+    if xs.n != 3:
+        raise ValueError(f"the subset bound is specific to 3x3 matrices, got n={xs.n}")
     for name, subset in (("X", xs), ("Y", ys)):
-        if len(set(_indices(subset))) < len(subset):
+        if len(set(subset.indices)) < len(subset):
             raise ValueError(f"subset {name} lists a matrix twice; the bound is about sets")
-    thr = spectral_threshold(ctx.q)
+    thr = spectral_threshold(xs.ctx.q)
     guaranteed = len(xs) * len(ys) > thr.integer_bound**2
     witness = find_invertible_difference(xs, ys)
     if guaranteed and witness is None:
@@ -260,7 +260,7 @@ def check_spectral_gap(
             "but no invertible difference exists"
         )
     return GapReport(
-        q=ctx.q,
+        q=xs.ctx.q,
         n_star_num=thr.n_star.numerator,
         n_star_den=thr.n_star.denominator,
         integer_bound=thr.integer_bound,
@@ -272,11 +272,9 @@ def check_spectral_gap(
     )
 
 
-def random_index_subset(
-    ctx: FieldContext, n: int, size: int, rng: random.Random
-) -> IndexSubset:
-    """Uniform sample of distinct matrices, reproducible from the caller's
-    seeded ``random.Random`` (indices drawn with ``rng.sample``)."""
+def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> IndexSubset:
+    """Uniform sample of ``size`` distinct matrices, reproducible from the
+    caller's seeded ``random.Random`` (indices drawn with ``rng.sample``)."""
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
     total = matrix_count(ctx, n)
@@ -285,14 +283,3 @@ def random_index_subset(
     if total > sys.maxsize:  # rng.sample needs len(range(total))
         raise SizeTooLargeError(f"cannot sample from {total} matrices; the limit is {sys.maxsize}")
     return IndexSubset(ctx, n, rng.sample(range(total), size))
-
-
-def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> list[Matrix]:
-    """The matrices of ``random_index_subset``, drawn the same way and
-    decoded one digit position at a time."""
-    indices, q = random_index_subset(ctx, n, size, rng).indices, ctx.q
-    digits = []
-    for _ in range(n * n):
-        digits.append([t % q for t in indices])
-        indices = [t // q for t in indices]
-    return [Matrix(ctx, n, flat) for flat in zip(*digits)]

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -223,7 +224,8 @@ def test_gap_subset_file_index_out_of_range(capsys, tmp_path, index):
 
 
 def test_gap_cli_index_path_matches_the_list_path(capsys):
-    # the CLI scans index subsets; the public list[Matrix] path must agree
+    # the CLI scans the views random_subset draws; plain lists of the same
+    # matrices must give the same reports
     from unitgraph import check_spectral_gap, field_of_order, random_subset
 
     code, out, _ = run(
@@ -234,9 +236,25 @@ def test_gap_cli_index_path_matches_the_list_path(capsys):
     ctx, reports = field_of_order(3), []
     for seed in range(2, 7):
         rng = random.Random(seed)
-        xs, ys = random_subset(ctx, 3, 759, rng), random_subset(ctx, 3, 759, rng)
+        xs, ys = list(random_subset(ctx, 3, 759, rng)), list(random_subset(ctx, 3, 759, rng))
         reports.append(check_spectral_gap(xs, ys, seed=seed).to_json_dict())
     assert json.loads(out) == {"q": 3, "n": 3, "reports": reports}
+
+
+def test_gap_cli_draws_through_random_subset(capsys, monkeypatch):
+    from unitgraph import gap as gap_mod
+
+    draws = []
+    draw = gap_mod.random_subset
+
+    def spy(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(gap_mod, "random_subset", spy)
+    code, out, _ = run(capsys, "gap", "--q", "2", "--random-size", "75", "--trials", "3")
+    assert code == 0 and len(out.splitlines()) == 3
+    assert len(draws) == 6  # X and Y of each trial
 
 
 def test_gap_requires_input(capsys):
@@ -505,6 +523,43 @@ def test_verify_decides_an_all_skip_report_before_field_tables(capsys, monkeypat
         assert code == 2 and out == "" and message in err
     code, _, err = run(capsys, "verify", "--p", "4099", "--n", "2")
     assert code == 3 and "exceeds the table limit" in err
+
+
+def test_a_huge_n_hits_the_caps_at_once(capsys):
+    # q^(n^2) is far past every cap: it is neither built nor printed in decimal
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "1000")
+    assert code == 3
+    assert out == (
+        "verification, q=2, n=1000\n"
+        "  [SKIP] multiplicities-formula-vs-census: 2^1000000 matrices over cap 16777216\n"
+        "  [SKIP] trace-identity: 2^1000000 matrices over cap 16777216\n"
+        "  [SKIP] graph-checks: order 2^1000000 over graph cap 4096\n"
+    )
+    assert err == "error: no check ran: every check is over a size cap\n"
+    start = time.perf_counter()
+    for command, cap in (("spectrum", 16777216), ("census", 16777216), ("charsum", 16777216),
+                         ("export-graph", 4096)):
+        code, out, err = run(capsys, command, "--q", "3", "--n", "3000")
+        assert code == 3 and out == ""
+        assert err == f"error: 3^9000000 matrices exceed the cap {cap}\n"
+    code, out, _ = run(capsys, "verify", "--q", "3", "--n", "6000")
+    assert code == 3 and out.count(" 3^36000000 ") == 3
+    assert time.perf_counter() - start < 2  # building 3^9000000 alone takes seconds
+
+
+def test_cap_comparison_and_printed_count_match_the_power():
+    from unitgraph.cli import _over_cap, _power
+
+    for q in (2, 3, 4, 7, 8, 9, 4093):
+        for e in range(12):
+            for cap in (-(q**e), -1, 0, 1, q**e - 1, q**e, q**e + 1, 4096, 2**24):
+                assert _over_cap(q, e, cap) == (q**e > cap), (q, e, cap)
+    for q, e in ((2, 14161), (2, 14300), (3, 8934), (3, 9100), (4093, 25), (5, 6)):
+        try:
+            decimal = str(q**e)
+        except ValueError:  # over the interpreter's int-to-str digit limit
+            decimal = f"{q}^{e}"
+        assert _power(q, e) == decimal
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -56,7 +56,7 @@ def optional(flag, values):
 
 
 size_options = st.tuples(
-    numbers(["1", "2", "2", "3", "3", "4", "0", "-1"]),
+    numbers(["1", "2", "2", "3", "3", "4", "0", "-1", "1000"]),
     st.one_of(st.just(10**4), st.integers(0, 10**4)).map(str),
     st.one_of(st.just(700), st.integers(0, 700)).map(str),
 ).map(lambda t: ["--n", t[0], "--max-enum", t[1], "--max-graph", t[2]])

@@ -172,11 +172,11 @@ def test_repeated_matrix_is_rejected():
         check_spectral_gap([zero] * 75, [zero] * 75)
     distinct = random_subset(F2, 3, 75, random.Random(1))
     with pytest.raises(ValueError, match="subset Y lists a matrix twice"):
-        check_spectral_gap(distinct, distinct + [matrix_from_index(F2, 3, 0)] * 2)
+        check_spectral_gap(distinct, [*distinct, *[matrix_from_index(F2, 3, 0)] * 2])
     # an equal matrix built separately is still a repeat
     copy = matrix_from_index(F2, 3, matrix_to_index(distinct[3]))
     with pytest.raises(ValueError, match="subset X"):
-        check_spectral_gap(distinct + [copy], distinct)
+        check_spectral_gap([*distinct, copy], distinct)
 
 
 def _kernel_rows(ctx, n, v):
@@ -282,6 +282,9 @@ def test_index_subset_is_a_cached_sequence():
     assert all(a is b for a, b in zip(view, list(view)))
     with pytest.raises(IndexError):
         view[3]
+    # a slice is the list of those matrices, the cached objects themselves
+    assert view[1:] == [view[1], view[2]] and view[1:][0] is view[1]
+    assert view[::-2] == [view[2], view[0]] and view[7:] == []
     for bad in ([512], [-1]):
         with pytest.raises(ValueError, match="out of range"):
             IndexSubset(F2, 3, bad)
@@ -291,6 +294,22 @@ def test_index_subset_is_a_cached_sequence():
         find_invertible_difference(view, [matrix_from_index(F2, 2, 0)])
     with pytest.raises(ValueError, match="subset X lists a matrix twice"):
         check_spectral_gap(IndexSubset(F2, 3, [7, 7]), view)
+
+
+def test_a_list_is_numbered_once_per_query(monkeypatch):
+    numbered = []
+
+    def counting(m):
+        numbered.append(m)
+        return matrix_to_index(m)
+
+    monkeypatch.setattr(gap_mod, "matrix_to_index", counting)
+    rng = random.Random(4)
+    xs, ys = list(random_subset(F2, 3, 75, rng)), list(random_subset(F2, 3, 75, rng))
+    report = check_spectral_gap(xs, ys)
+    assert len(numbered) == 150  # each matrix once: the duplicate check and the scan share it
+    a, b = report.witness
+    assert any(a is m for m in xs) and any(b is m for m in ys)
 
 
 def test_pairwise_route_above_the_cap(monkeypatch):
