@@ -48,36 +48,6 @@ def _cap(flag: Optional[int], name: str, default: int) -> int:
         raise ValueError(f"environment variable {name} is not an integer: {raw!r}")
 
 
-def _add_field_options(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
-    parser.add_argument("--q", type=int, help="field order (a prime power)")
-    parser.add_argument("--p", type=int, help="field characteristic (alternative to --q)")
-    parser.add_argument("--k", type=int, default=1, help="extension degree (with --p)")
-    parser.add_argument(
-        "--modulus",
-        help="comma-separated modulus coefficients, constant term first",
-    )
-    parser.add_argument(
-        "--modulus-file", help="modulus table file overriding the packaged one"
-    )
-    if with_n:
-        parser.add_argument("--n", type=int, default=3, help="matrix size (default 3)")
-
-
-def _add_cap_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-enum",
-        type=int,
-        default=None,
-        help=f"matrix enumeration cap (default {matrices.DEFAULT_ENUM_CAP})",
-    )
-    parser.add_argument(
-        "--max-graph",
-        type=int,
-        default=None,
-        help=f"graph order cap (default {graph_mod.DEFAULT_MAX_ORDER})",
-    )
-
-
 def _caps(args) -> tuple[int, int]:
     return (
         _cap(args.max_enum, "UNITGRAPH_MAX_ENUM", matrices.DEFAULT_ENUM_CAP),
@@ -109,6 +79,8 @@ def _resolve_pk(args) -> tuple[int, int]:
     elif args.p is not None:
         if not is_prime(args.p):
             raise ValueError(f"--p {args.p} is not a prime")
+        if args.k < 1:
+            raise ValueError(f"extension degree must be >= 1, got {args.k}")
         pk = (args.p, args.k)
     else:
         raise ValueError("a field is required: pass --q or --p (with optional --k)")
@@ -431,6 +403,46 @@ def _cmd_export_graph(args):
 # parser
 
 
+# (flag, type, default, help) of the options every subcommand takes, then
+# of the matrix size and the caps
+_FIELD_OPTIONS = (
+    ("--q", int, None, "field order (a prime power)"),
+    ("--p", int, None, "field characteristic (alternative to --q)"),
+    ("--k", int, 1, "extension degree (with --p)"),
+    ("--modulus", None, None, "comma-separated modulus coefficients, constant term first"),
+    ("--modulus-file", None, None, "modulus table file overriding the packaged one"),
+)
+_SIZE_OPTIONS = (
+    ("--n", int, 3, "matrix size (default 3)"),
+    ("--max-enum", int, None, f"matrix enumeration cap (default {matrices.DEFAULT_ENUM_CAP})"),
+    ("--max-graph", int, None, f"graph order cap (default {graph_mod.DEFAULT_MAX_ORDER})"),
+)
+
+# name, handler, help, --format choices ("" for no --format), options after the field options
+_COMMANDS = (
+    ("spectrum", _cmd_spectrum, "eigenvalues and multiplicities", "json csv text", _SIZE_OPTIONS),
+    ("verify", _cmd_verify, "cross-check closed forms against brute force", "json text",
+     _SIZE_OPTIONS),
+    ("charsum", _cmd_charsum, "character sums over invertible matrices", "json text", (
+        *_SIZE_OPTIONS,
+        ("--rank", int, None, "use the canonical label of this rank"),
+        ("--label-index", int, None, "use the label at this enumeration index"),
+    )),
+    ("census", _cmd_census, "exhaustive rank and pinned-entry counts", "json text", _SIZE_OPTIONS),
+    ("gap", _cmd_gap, "subset edge-existence reports", "json text", (
+        ("--subset-file", None, None, "newline-separated enumeration indices for X"),
+        ("--subset-file-y", None, None, "indices for Y (defaults to the X file)"),
+        ("--random-size", int, None, "draw random subsets of this size"),
+        ("--trials", int, 1, None),
+        ("--seed", int, 0, "base seed; trial t uses seed+t"),
+    )),
+    ("export-graph", _cmd_export_graph, "write the adjacency edge list", "", (
+        *_SIZE_OPTIONS,
+        ("--output", None, "-", "output path, or - for stdout"),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unitgraph",
@@ -440,49 +452,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("spectrum", help="eigenvalues and multiplicities")
-    _add_field_options(sp)
-    _add_cap_options(sp)
-    sp.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sp.set_defaults(func=_cmd_spectrum)
-
-    vf = sub.add_parser("verify", help="cross-check closed forms against brute force")
-    _add_field_options(vf)
-    _add_cap_options(vf)
-    vf.add_argument("--format", choices=("json", "text"), default="text")
-    vf.set_defaults(func=_cmd_verify)
-
-    cs = sub.add_parser("charsum", help="character sums over invertible matrices")
-    _add_field_options(cs)
-    _add_cap_options(cs)
-    cs.add_argument("--rank", type=int, help="use the canonical label of this rank")
-    cs.add_argument("--label-index", type=int, help="use the label at this enumeration index")
-    cs.add_argument("--format", choices=("json", "text"), default="text")
-    cs.set_defaults(func=_cmd_charsum)
-
-    ce = sub.add_parser("census", help="exhaustive rank and pinned-entry counts")
-    _add_field_options(ce)
-    _add_cap_options(ce)
-    ce.add_argument("--format", choices=("json", "text"), default="text")
-    ce.set_defaults(func=_cmd_census)
-
-    gp = sub.add_parser("gap", help="subset edge-existence reports")
-    _add_field_options(gp, with_n=False)
-    gp.add_argument("--subset-file", help="newline-separated enumeration indices for X")
-    gp.add_argument("--subset-file-y", help="indices for Y (defaults to the X file)")
-    gp.add_argument("--random-size", type=int, help="draw random subsets of this size")
-    gp.add_argument("--trials", type=int, default=1)
-    gp.add_argument("--seed", type=int, default=0, help="base seed; trial t uses seed+t")
-    gp.add_argument("--format", choices=("json", "text"), default="text")
-    gp.set_defaults(func=_cmd_gap)
-
-    eg = sub.add_parser("export-graph", help="write the adjacency edge list")
-    _add_field_options(eg)
-    _add_cap_options(eg)
-    eg.add_argument("--output", default="-", help="output path, or - for stdout")
-    eg.set_defaults(func=_cmd_export_graph)
-
+    for name, func, summary, formats, options in _COMMANDS:
+        sp = sub.add_parser(name, help=summary)
+        for flag, kind, default, text in _FIELD_OPTIONS + options:
+            sp.add_argument(flag, type=kind, default=default, help=text)
+        if formats:
+            sp.add_argument("--format", choices=tuple(formats.split()), default="text")
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -17,6 +17,7 @@ A sum that ought to be a plain integer but is not collapses loudly via
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .errors import ContextMismatchError, NonPrimeError, NotRationalError
@@ -27,26 +28,20 @@ from .fields import is_prime
 _is_prime_order = functools.lru_cache(maxsize=64)(is_prime)
 
 
+@dataclass(frozen=True, slots=True)
 class Cyclotomic:
     """An element of Z[zeta_p] in canonical form (last coefficient zero)."""
 
-    __slots__ = ("p", "coeffs")
+    p: int
+    coeffs: tuple[int, ...]  # given as any sequence of p ints, kept as the canonical tuple
 
-    def __init__(self, p: int, coeffs: Sequence[int]):
-        if not _is_prime_order(p):
-            raise NonPrimeError(f"root order {p} is not prime")
-        if len(coeffs) != p:
-            raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
-        last = coeffs[p - 1]
-        if last:
-            canon = tuple(c - last for c in coeffs)
-        else:
-            canon = tuple(coeffs)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", canon)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Cyclotomic is immutable")
+    def __post_init__(self):
+        if not _is_prime_order(self.p):
+            raise NonPrimeError(f"root order {self.p} is not prime")
+        if len(self.coeffs) != self.p:
+            raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
+        last = self.coeffs[-1]
+        object.__setattr__(self, "coeffs", tuple(c - last for c in self.coeffs))
 
     # -- constructors --------------------------------------------------------
 
@@ -149,9 +144,6 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
 
     def __repr__(self):
         if self.is_integer():

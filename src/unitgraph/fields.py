@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional, Sequence, Union
 
@@ -118,20 +119,13 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[i
     return quot, rem
 
 
-def _irreducible_quadratics(p: int) -> Iterator[list[int]]:
-    for b in range(p):
-        for a in range(p):
-            quad = [a, b, 1]
-            if all(_poly_eval(quad, x, p) for x in range(p)):
-                yield quad
-
-
 def _check_irreducible(modulus: Sequence[int], p: int) -> None:
     """Brute-force irreducibility for degrees 1..4.
 
     Degrees 2 and 3 are irreducible iff they have no root in F_p; degree 4
-    additionally needs a trial division by every irreducible quadratic.
-    Higher degrees are outside the supported range.
+    additionally needs a trial division by every monic quadratic (once
+    there is no root, only an irreducible quadratic can divide).  Higher
+    degrees are outside the supported range.
     """
     deg = len(modulus) - 1
     if deg == 1:
@@ -146,7 +140,8 @@ def _check_irreducible(modulus: Sequence[int], p: int) -> None:
                 f"modulus {list(modulus)} has root {x} over F_{p}"
             )
     if deg == 4:
-        for quad in _irreducible_quadratics(p):
+        for b, a in itertools.product(range(p), repeat=2):
+            quad = [a, b, 1]
             _, rem = _poly_divmod(modulus, quad, p)
             if not any(rem):
                 raise ReducibleModulusError(
@@ -248,7 +243,7 @@ class FieldContext:
         object.__setattr__(self, "_hash", hash((p, k, modulus)))
         self._build_tables()
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+    def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("FieldContext is immutable")
 
     def __eq__(self, other):
@@ -380,6 +375,7 @@ class FieldContext:
             yield FieldElement(self, i)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """An element of a ``FieldContext``, immutable and hashable.
 
@@ -387,14 +383,8 @@ class FieldElement:
     from different contexts raises ``ContextMismatchError``.
     """
 
-    __slots__ = ("ctx", "index")
-
-    def __init__(self, ctx: FieldContext, index: int):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "index", index)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("FieldElement is immutable")
+    ctx: FieldContext
+    index: int
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -440,14 +430,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return self.index == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.index == other.index and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash((self.ctx._hash, self.index))
 
     def __repr__(self):
         return f"{self.ctx!r}[{poly_str(self.coeffs)}]"

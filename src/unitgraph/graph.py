@@ -23,13 +23,15 @@ constant to every entry.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
 from .fields import FieldContext
 from .matrices import (
-    Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count, matrix_to_index,
+    Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count, matrix_from_index,
+    matrix_to_index,
 )
 from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
@@ -40,24 +42,25 @@ from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
 DEFAULT_MAX_ORDER = 4096
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CayleyGraph:
-    """The invertibility graph, materialized as packed adjacency bit rows."""
+    """The invertibility graph, materialized as packed adjacency bit rows;
+    vertex i is the matrix with enumeration index i."""
 
-    __slots__ = ("ctx", "n", "order", "rows", "degree", "_flats")
+    ctx: FieldContext
+    n: int
+    rows: tuple[int, ...]
 
-    def __init__(self, ctx: FieldContext, n: int, rows: tuple[int, ...], flats: tuple):
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "order", len(rows))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "degree", rows[0].bit_count() if rows else 0)
-        object.__setattr__(self, "_flats", flats)
+    @property
+    def order(self) -> int:
+        return len(self.rows)
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("CayleyGraph is immutable")
+    @property
+    def degree(self) -> int:
+        return self.rows[0].bit_count() if self.rows else 0
 
     def vertex(self, i: int) -> Matrix:
-        return Matrix(self.ctx, self.n, self._flats[i])
+        return matrix_from_index(self.ctx, self.n, i)
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
@@ -85,9 +88,8 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
         raise SizeTooLargeError(
             f"graph on {order} vertices exceeds the cap {max_order}"
         )
-    flats = tuple(_iter_flats(ctx, n))
-    dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in flats)
-    graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)), flats)
+    dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in _iter_flats(ctx, n))
+    graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)))
 
     if not is_simple(graph):
         raise CheckFailedError("freshly built graph failed the simplicity scan")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContextMismatchError, SizeTooLargeError
@@ -37,22 +38,19 @@ DEFAULT_ENUM_CAP = 2**24
 EntryLike = Union[FieldElement, int]
 
 
+@dataclass(frozen=True, slots=True)
 class Matrix:
     """An immutable n x n matrix over a ``FieldContext``."""
 
-    __slots__ = ("ctx", "n", "flat")
+    ctx: FieldContext
+    n: int
+    flat: tuple[int, ...]
 
-    def __init__(self, ctx: FieldContext, n: int, flat: tuple[int, ...]):
-        if n < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {n}")
-        if len(flat) != n * n:
-            raise ValueError(f"expected {n * n} entries, got {len(flat)}")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "flat", flat)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Matrix is immutable")
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"matrix dimension must be >= 1, got {self.n}")
+        if len(self.flat) != self.n * self.n:
+            raise ValueError(f"expected {self.n * self.n} entries, got {len(self.flat)}")
 
     # -- construction ----------------------------------------------------------
 
@@ -169,14 +167,6 @@ class Matrix:
 
     def is_invertible(self) -> bool:
         return _det_flat(self.ctx, self.n, self.flat) != 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.n == other.n and self.flat == other.flat and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash((self.ctx, self.n, self.flat))
 
     def __repr__(self):
         n = self.n

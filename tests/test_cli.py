@@ -422,6 +422,18 @@ def test_nonpositive_n_is_a_usage_error(capsys, command, n):
 
 @pytest.mark.parametrize(
     "argv",
+    [["spectrum", "--n", "3"], ["spectrum", "--n", "1"], ["verify"], ["gap", "--random-size", "3"]],
+)
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_nonpositive_k_is_a_usage_error(capsys, argv, k):
+    code, out, err = run(capsys, *argv, "--p", "5", "--k", k)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: extension degree must be >= 1, got {k}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
     [
         ["spectrum", "--p", "1021", "--n", "2"],
         ["charsum", "--p", "1021", "--n", "2"],

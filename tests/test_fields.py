@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -22,6 +23,7 @@ from unitgraph.fields import (
     _parse_modulus_table,
     _poly_divmod,
     default_modulus_table,
+    field_modulus,
     is_prime,
     poly_str,
 )
@@ -53,6 +55,33 @@ def test_construction_errors():
         field(2, 5, [1, 0, 1, 0, 0, 1])  # degree 5 check unsupported
     with pytest.raises(ValueError):
         field(2, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_accepted_moduli_match_gauss_counts(p):
+    # monic irreducibles of degree k over F_p: (1/k) sum_{d | k} mu(d) p^(k/d)
+    for k, expected in [(2, (p**2 - p) // 2), (3, (p**3 - p) // 3), (4, (p**4 - p**2) // 4)]:
+        accepted = 0
+        for low in itertools.product(range(p), repeat=k):
+            try:
+                field_modulus(p, k, [*low, 1])
+            except ReducibleModulusError:
+                continue
+            accepted += 1
+        assert accepted == expected
+
+
+@pytest.mark.parametrize(
+    "p, modulus, factor",
+    [
+        (3, [2, 1, 0, 1, 1], [1, 0, 1]),  # (x^2 + 1)(x^2 + x + 2), no root in F_3
+        # (x^2 + 3)(x^2 + x + 1): quadratics are tried by x coefficient, then constant
+        (5, [3, 3, 4, 1, 1], [3, 0, 1]),
+    ],
+)
+def test_rootless_reducible_quartic_names_its_quadratic_factor(p, modulus, factor):
+    with pytest.raises(ReducibleModulusError, match=re.escape(f"divisible by {factor} over F_{p}")):
+        field(p, 4, modulus)
 
 
 def test_field_axioms_exhaustive():

@@ -63,10 +63,10 @@ def test_build_graph_3x3_mod2():
 
 def test_simplicity_detects_loops_and_asymmetry():
     g = build_graph(F2, 2)
-    looped = CayleyGraph(F2, 2, (g.rows[0] | 1,) + g.rows[1:], g._flats)
+    looped = CayleyGraph(F2, 2, (g.rows[0] | 1,) + g.rows[1:])
     assert not is_simple(looped)
     j = (g.rows[0] & -g.rows[0]).bit_length() - 1  # drop one direction of an edge
-    asym = CayleyGraph(F2, 2, (g.rows[0] ^ (1 << j),) + g.rows[1:], g._flats)
+    asym = CayleyGraph(F2, 2, (g.rows[0] ^ (1 << j),) + g.rows[1:])
     assert not is_simple(asym)
 
 
@@ -93,7 +93,7 @@ def test_verify_eigenvector_rejects_tampering():
     rows = list(g.rows)
     rows[0] ^= 1 << j
     rows[j] ^= 1
-    tampered = CayleyGraph(F2, 2, tuple(rows), g._flats)
+    tampered = CayleyGraph(F2, 2, tuple(rows))
     with pytest.raises(EigenvectorMismatchError) as err:
         verify_eigenvector(tampered, Matrix.zero(F2, 2))
     assert err.value.coordinate == 0
@@ -217,7 +217,7 @@ def test_verify_eigenvector_rejects_degree_preserving_swap():
     for x, y in ((a, d), (c, b)):
         rows[x] |= 1 << y
         rows[y] |= 1 << x
-    tampered = CayleyGraph(F3, 2, tuple(rows), g._flats)
+    tampered = CayleyGraph(F3, 2, tuple(rows))
     assert is_simple(tampered)
     assert all(row.bit_count() == g.degree for row in tampered.rows)
     failed_at = []
@@ -244,5 +244,5 @@ def test_verify_eigenvector_past_byte_exponents():
     rows[0] ^= 1 << 1
     rows[1] ^= 1 << 0
     with pytest.raises(EigenvectorMismatchError) as exc:
-        verify_eigenvector(CayleyGraph(ctx, 1, tuple(rows), g._flats), Matrix(ctx, 1, (1,)))
+        verify_eigenvector(CayleyGraph(ctx, 1, tuple(rows)), Matrix(ctx, 1, (1,)))
     assert exc.value.coordinate == 0
