@@ -258,6 +258,8 @@ def _cmd_verify(args):
 
 
 def _cmd_charsum(args):
+    if args.rank is not None and args.label_index is not None:
+        raise ValueError("give either --rank or --label-index, not both")
     enum_cap, _ = _caps(args)
     ctx = _resolve_context(args, enum_cap)
     n = args.n
@@ -346,6 +348,8 @@ def _read_subset(path: str, ctx: FieldContext, n: int) -> gap_mod.IndexSubset:
 
 def _cmd_gap(args):
     # the option combination is checked before any field table is built
+    if args.subset_file and args.random_size is not None:
+        raise ValueError("give either --subset-file or --random-size, not both")
     if args.subset_file_y and not args.subset_file:
         raise ValueError("--subset-file-y needs --subset-file")
     if not args.subset_file and args.random_size is None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator, Optional, Sequence, Union
@@ -49,19 +50,16 @@ from .errors import (
 _MAX_TABLE_ORDER = 4096
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
+def _least_prime_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division."""
+    for d in itertools.chain((2,), range(3, math.isqrt(n) + 1, 2)):
         if n % d == 0:
-            return False
-        d += 2
-    return True
+            return d
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -71,26 +69,11 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
     """
     if q < 2:
         return None
-    p = None
-    if q % 2 == 0:
-        p = 2
-    else:
-        d = 3
-        while d * d <= q:
-            if q % d == 0:
-                p = d
-                break
-            d += 2
-    if p is None:
-        return (q, 1)  # q itself is prime
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p, k = _least_prime_factor(q), 0
+    while q % p == 0:
+        q //= p
         k += 1
-    if m != 1:
-        return None
-    return (p, k)
+    return (p, k) if q == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +207,7 @@ def _checked_modulus(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
     return modulus
 
 
+@dataclass(frozen=True)
 class FieldContext:
     """A finite field F_{p^k} with dense arithmetic tables.
 
@@ -232,29 +216,14 @@ class FieldContext:
     independently built contexts.  Instances are immutable.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_add", "_mul", "_neg", "_inv", "_trace", "_hash")
+    p: int
+    k: int
+    modulus: tuple[int, ...]  # given as any sequence, kept reduced mod p
 
-    def __init__(self, p: int, k: int, modulus: Sequence[int]):
-        modulus = _checked_modulus(p, k, modulus)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "q", p**k)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "_hash", hash((p, k, modulus)))
+    def __post_init__(self):
+        object.__setattr__(self, "modulus", _checked_modulus(self.p, self.k, self.modulus))
+        object.__setattr__(self, "q", self.p**self.k)
         self._build_tables()
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("FieldContext is immutable")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, FieldContext):
-            return NotImplemented
-        return self.p == other.p and self.k == other.k and self.modulus == other.modulus
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.k == 1:

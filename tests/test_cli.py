@@ -479,6 +479,25 @@ def test_gap_options_are_checked_before_field_tables(capsys, monkeypatch, extra,
     assert out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("q", ["2", "6"])  # at q = 6 the field would be the error
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["charsum", "--rank", "1", "--label-index", "511"], "--rank or --label-index"),
+        (
+            ["gap", "--subset-file", str(Path(__file__).parent / "golden" / "my.idx"),
+             "--random-size", "5"],
+            "--subset-file or --random-size",
+        ),
+    ],
+    ids=["charsum", "gap"],
+)
+def test_conflicting_options_are_usage_errors_before_the_field(capsys, argv, q, message):
+    code, out, err = run(capsys, *argv, "--q", q)
+    assert code == 2
+    assert out == "" and err == f"error: give either {message}, not both\n"
+
+
 def test_verify_scans_simplicity_once(capsys, monkeypatch):
     # build_graph runs the scan; the structure check reads its result
     from unitgraph import graph as graph_mod

@@ -231,6 +231,23 @@ def test_prime_power():
     assert prime_power(1) is None
 
 
+def test_is_prime_and_prime_power_match_a_sieve():
+    limit = 5000
+    composite = bytearray(limit)
+    powers = {}  # every prime power below the limit
+    for p in range(2, limit):
+        if not composite[p]:
+            composite[p * p :: p] = b"\1" * len(range(p * p, limit, p))
+            q, k = p, 1
+            while q < limit:
+                powers[q] = (p, k)
+                q, k = q * p, k + 1
+    assert len(powers) == 669 + 42  # 669 primes, 42 higher powers
+    for n in range(-3, limit):
+        assert is_prime(n) == (n >= 2 and not composite[n]), n
+        assert prime_power(n) == powers.get(n), n
+
+
 def test_field_of_order():
     assert field_of_order(9).q == 9
     with pytest.raises(ValueError):

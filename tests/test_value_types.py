@@ -25,6 +25,15 @@ def test_attributes_cannot_be_assigned(make, name):
         setattr(value, name, getattr(value, name))
 
 
+def test_field_context_assignments_raise_attribute_error():
+    # a slotted frozen dataclass would raise TypeError for the undeclared name
+    ctx = field(2, 2)
+    for name in ("q", "modulus", "undeclared"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, None)
+    assert FieldContext(2, 2, [3, 5, 1]).modulus == (1, 1, 1)
+
+
 def test_values_over_equal_fields_compare_and_hash_equal():
     built, cached = FieldContext(2, 2, (1, 1, 1)), field(2, 2)
     assert built is not cached
