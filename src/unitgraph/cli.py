@@ -348,13 +348,18 @@ def _read_subset(path: str, ctx: FieldContext, n: int) -> gap_mod.IndexSubset:
 
 def _cmd_gap(args):
     # the option combination is checked before any field table is built
-    if args.subset_file and args.random_size is not None:
-        raise ValueError("give either --subset-file or --random-size, not both")
-    if args.subset_file_y and not args.subset_file:
+    if args.subset_file:
+        if args.random_size is not None:
+            raise ValueError("give either --subset-file or --random-size, not both")
+        if args.trials is not None or args.seed is not None:
+            raise ValueError("give either --subset-file or --trials/--seed, not both")
+    elif args.subset_file_y:
         raise ValueError("--subset-file-y needs --subset-file")
-    if not args.subset_file and args.random_size is None:
+    elif args.random_size is None:
         raise ValueError("pass --subset-file or --random-size")
-    if not args.subset_file and args.trials < 1:
+    elif args.random_size < 1:
+        raise ValueError("--random-size must be >= 1")
+    elif args.trials is not None and args.trials < 1:
         raise ValueError("--trials must be >= 1")
     ctx = _resolve_context(args)
     n = 3
@@ -364,8 +369,8 @@ def _cmd_gap(args):
         ys = _read_subset(args.subset_file_y, ctx, n) if args.subset_file_y else xs
         reports.append(gap_mod.check_spectral_gap(xs, ys))
     else:
-        for t in range(args.trials):
-            trial_seed = args.seed + t
+        for t in range(args.trials or 1):  # --trials 0 was refused above
+            trial_seed = (args.seed or 0) + t
             rng = random.Random(trial_seed)
             xs = gap_mod.random_subset(ctx, n, args.random_size, rng)
             ys = gap_mod.random_subset(ctx, n, args.random_size, rng)
@@ -437,8 +442,8 @@ _COMMANDS = (
         ("--subset-file", None, None, "newline-separated enumeration indices for X"),
         ("--subset-file-y", None, None, "indices for Y (defaults to the X file)"),
         ("--random-size", int, None, "draw random subsets of this size"),
-        ("--trials", int, 1, None),
-        ("--seed", int, 0, "base seed; trial t uses seed+t"),
+        ("--trials", int, None, None),
+        ("--seed", int, None, "base seed; trial t uses seed+t"),
     )),
     ("export-graph", _cmd_export_graph, "write the adjacency edge list", "", (
         *_SIZE_OPTIONS,

@@ -28,7 +28,7 @@ from .fields import is_prime
 _is_prime_order = functools.lru_cache(maxsize=64)(is_prime)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Cyclotomic:
     """An element of Z[zeta_p] in canonical form (last coefficient zero)."""
 

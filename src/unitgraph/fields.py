@@ -344,7 +344,7 @@ class FieldContext:
             yield FieldElement(self, i)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FieldElement:
     """An element of a ``FieldContext``, immutable and hashable.
 

@@ -38,7 +38,7 @@ DEFAULT_ENUM_CAP = 2**24
 EntryLike = Union[FieldElement, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Matrix:
     """An immutable n x n matrix over a ``FieldContext``."""
 

@@ -28,7 +28,7 @@ integer raises rather than rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .characters import _BYTE_MAX_P, _exponents, _shift_tables
 from .cyclotomic import Cyclotomic
@@ -86,18 +86,7 @@ class Spectrum:
         return self
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "lines": [
-                {
-                    "rank": line.rank,
-                    "eigenvalue": line.eigenvalue,
-                    "multiplicity": line.multiplicity,
-                }
-                for line in self.lines
-            ],
-        }
+        return {**asdict(self), "lines": list(map(asdict, self.lines))}
 
     def to_csv(self) -> str:
         rows = ["rank,eigenvalue,multiplicity"]

@@ -319,10 +319,12 @@ def test_unwritable_export_path_is_a_usage_error(capsys, tmp_path):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
-def test_gap_random_size_zero_reaches_the_library(capsys):
-    code, _, err = run(capsys, "gap", "--q", "2", "--random-size", "0")
+def test_gap_empty_subset_file_reaches_the_library(capsys, tmp_path):
+    empty = tmp_path / "empty.idx"
+    empty.write_text("# no indices\n")
+    code, out, err = run(capsys, "gap", "--q", "2", "--subset-file", str(empty))
     assert code == 2
-    assert "subsets must be nonempty" in err
+    assert out == "" and err == "error: subsets must be nonempty\n"
 
 
 def test_gap_random_subsets_past_the_sampler_limit_hit_a_cap(capsys):
@@ -464,6 +466,8 @@ def test_size_cap_is_checked_before_field_tables(capsys, monkeypatch, argv):
         (["--subset-file-y", "missing.idx"], "--subset-file-y needs --subset-file"),
         ([], "pass --subset-file or --random-size"),
         (["--random-size", "5", "--trials", "0"], "--trials must be >= 1"),
+        (["--random-size", "0"], "--random-size must be >= 1"),
+        (["--random-size", "-3", "--trials", "0"], "--random-size must be >= 1"),
     ],
 )
 def test_gap_options_are_checked_before_field_tables(capsys, monkeypatch, extra, message):
@@ -489,8 +493,18 @@ def test_gap_options_are_checked_before_field_tables(capsys, monkeypatch, extra,
              "--random-size", "5"],
             "--subset-file or --random-size",
         ),
+        (
+            ["gap", "--subset-file", str(Path(__file__).parent / "golden" / "my.idx"),
+             "--trials", "5", "--seed", "3"],
+            "--subset-file or --trials/--seed",
+        ),
+        (
+            ["gap", "--subset-file", str(Path(__file__).parent / "golden" / "my.idx"),
+             "--seed", "0"],
+            "--subset-file or --trials/--seed",
+        ),
     ],
-    ids=["charsum", "gap"],
+    ids=["charsum", "gap", "gap-trials", "gap-seed"],
 )
 def test_conflicting_options_are_usage_errors_before_the_field(capsys, argv, q, message):
     code, out, err = run(capsys, *argv, "--q", q)

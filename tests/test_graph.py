@@ -70,6 +70,43 @@ def test_simplicity_detects_loops_and_asymmetry():
     assert not is_simple(asym)
 
 
+def pairwise_is_simple(graph):
+    """Reference scan: one bit test per diagonal entry and per vertex pair."""
+    for i, row in enumerate(graph.rows):
+        if row >> i & 1:
+            return False
+    for i in range(graph.order):
+        for j in range(i + 1, graph.order):
+            if graph.rows[i] >> j & 1 != graph.rows[j] >> i & 1:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("order", [2, 3, 8, 31, 64])
+def test_simplicity_scan_matches_pairwise_reference(order):
+    rng = random.Random(order)
+    rows = [0] * order
+    for i, j in itertools.combinations(range(order), 2):
+        if rng.random() < 0.5:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    last, d = order - 1, rng.randrange(order)
+    j, k = rng.randrange(1, order), rng.randrange(last)
+    flips = [
+        (None, True),
+        ((d, d), False),  # a loop
+        ((0, j), False), ((j, 0), False),  # one direction of a pair, first row or column
+        ((last, k), False), ((k, last), False),  # and in the last
+        ((d, order), True), ((d, order + 5), True),  # bits past the order are not edges
+    ]
+    for flip, expected in flips:
+        flipped = list(rows)
+        if flip:
+            flipped[flip[0]] ^= 1 << flip[1]
+        g = CayleyGraph(F2, 1, tuple(flipped))
+        assert is_simple(g) == pairwise_is_simple(g) == expected, flip
+
+
 def test_verify_eigenvector_trivial_label():
     g = build_graph(F2, 3)
     assert verify_eigenvector(g, Matrix.zero(F2, 3)) == 168

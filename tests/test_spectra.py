@@ -351,7 +351,7 @@ def test_rank2_eigenvalue_aggregate_identity():
 def test_spectrum_serialization():
     s = spectrum_closed_form(2)
     d = s.to_json_dict()
-    assert d["q"] == 2 and d["n"] == 3 and len(d["lines"]) == 4
+    assert d["q"] == 2 and d["n"] == 3 and type(d["lines"]) is list and len(d["lines"]) == 4
     assert d["lines"][1] == {"rank": 1, "eigenvalue": -24, "multiplicity": 49}
     csv = s.to_csv().splitlines()
     assert csv[0] == "rank,eigenvalue,multiplicity"
