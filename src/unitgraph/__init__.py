@@ -28,7 +28,6 @@ from .fields import (
     default_modulus_table,
     field,
     field_of_order,
-    load_modulus_table,
     prime_power,
 )
 from .characters import char_exponents, char_vector, field_char, matrix_char, matrix_trace_exponent

@@ -5,10 +5,10 @@ library, the CLI only formats.  ``--format json`` and ``csv`` are stable
 contracts (identical configs and seeds give byte-identical output); the
 text format is human-oriented and may change.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 size cap hit;
-``EXIT_CODES`` maps exceptions to them.  Caps may also be set via
-UNITGRAPH_MAX_ENUM / UNITGRAPH_MAX_GRAPH; the command-line flags win over
-the environment.
+Exit codes: 0 success, 1 check failure, 2 usage error or failed write,
+3 size cap hit; ``EXIT_CODES`` maps exceptions to them.  Caps may also be
+set via UNITGRAPH_MAX_ENUM / UNITGRAPH_MAX_GRAPH; the command-line flags
+win over the environment.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import gap as gap_mod
 from . import graph as graph_mod
 from . import matrices, spectra
 from .errors import CheckFailedError, SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext, field, field_modulus, is_prime, load_modulus_table, prime_power
+from .fields import FieldContext, field, field_modulus, is_prime, prime_power
 
 # (exception class, exit code, stderr prefix): an exception leaving a
 # subcommand is reported through the first row it is an instance of
@@ -96,16 +96,8 @@ def _resolve_field(args, cap: Optional[int] = None) -> tuple[int, int, tuple[int
     p, k = _resolve_pk(args)
     if cap is not None and _over_cap(p, k * args.n**2, cap):
         raise SizeTooLargeError(f"{p**k}^{args.n**2} matrices exceed the cap {cap}")
-    modulus = None
-    if args.modulus:
-        modulus = [int(c) for c in args.modulus.split(",")]
-    table = None
-    if args.modulus_file:
-        try:
-            table = load_modulus_table(args.modulus_file)
-        except OSError as exc:
-            raise ValueError(f"cannot read modulus file {args.modulus_file}: {exc}")
-    return p, k, field_modulus(p, k, modulus=modulus, modulus_table=table)
+    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    return p, k, field_modulus(p, k, modulus=modulus)
 
 
 def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
@@ -126,8 +118,8 @@ def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
 def _cmd_spectrum(args):
     enum_cap, _ = _caps(args)
     if args.n == 3:
-        # closed forms need no field, but given modulus options must be valid
-        if args.modulus or args.modulus_file:
+        # closed forms need no field, but a given modulus must be valid
+        if args.modulus:
             p, k, _ = _resolve_field(args)
         else:
             p, k = _resolve_pk(args)
@@ -396,12 +388,11 @@ def _cmd_export_graph(args):
     ctx = _resolve_context(args, graph_cap)
     g = graph_mod.build_graph(ctx, args.n, max_order=graph_cap)
     if args.output and args.output != "-":
-        try:
-            fh = open(args.output, "w", encoding="utf-8")
+        try:  # a failed open, write or close
+            with open(args.output, "w", encoding="utf-8") as fh:
+                count = graph_mod.export_edges(g, fh)
         except OSError as exc:
             raise ValueError(f"cannot write {args.output}: {exc}")
-        with fh:
-            count = graph_mod.export_edges(g, fh)
         print(f"wrote {count} edges ({g.order} vertices) to {args.output}", file=sys.stderr)
     else:
         graph_mod.export_edges(g, sys.stdout)
@@ -419,7 +410,6 @@ _FIELD_OPTIONS = (
     ("--p", int, None, "field characteristic (alternative to --q)"),
     ("--k", int, 1, "extension degree (with --p)"),
     ("--modulus", None, None, "comma-separated modulus coefficients, constant term first"),
-    ("--modulus-file", None, None, "modulus table file overriding the packaged one"),
 )
 _SIZE_OPTIONS = (
     ("--n", int, 3, "matrix size (default 3)"),
@@ -480,6 +470,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             for line in lines:
                 print(line)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
         if verdict is not None:
             raise verdict
         return 0
@@ -488,6 +479,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if str(exc):  # a failure the report shows needs no stderr line
             print(f"{prefix}{exc}", file=sys.stderr)
         return code
+    except BrokenPipeError as exc:
+        # the reader of stdout is gone (as after ``| head``): stdout now
+        # points at devnull, so the interpreter's flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

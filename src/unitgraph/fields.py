@@ -22,9 +22,9 @@ which always lands in the prime subfield and is returned as a plain
 integer in [0, p).
 
 Moduli for common field orders ship in ``data/moduli.txt`` (one line per
-field, ``p k c0,c1,...,ck``); any table whose entries pass the
-irreducibility check works, since traces and everything built on them are
-independent of the basis choice.
+field, ``p k c0,c1,...,ck``); any other monic irreducible modulus of any
+degree may be passed explicitly, since traces and everything built on
+them are independent of the basis choice.
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
 # polynomial helpers over F_p (coefficient lists, constant term first)
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     """Division with remainder; den must be monic."""
     num = list(num)
@@ -103,33 +96,20 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int], p: int) -> tuple[list[i
 
 
 def _check_irreducible(modulus: Sequence[int], p: int) -> None:
-    """Brute-force irreducibility for degrees 1..4.
+    """Trial division by every monic polynomial of degree 1 to k // 2.
 
-    Degrees 2 and 3 are irreducible iff they have no root in F_p; degree 4
-    additionally needs a trial division by every monic quadratic (once
-    there is no root, only an irreducible quadratic can divide).  Higher
-    degrees are outside the supported range.
+    A reducible modulus of degree k has a monic factor of degree at most
+    k // 2.  Linear factors x - r are tried by ascending root r; higher
+    degrees by their coefficients from the top down, so quadratics by x
+    coefficient, then constant.  Under the table limit that is at most
+    126 divisions (degree 12 over F_2).
     """
-    deg = len(modulus) - 1
-    if deg == 1:
-        return
-    if deg > 4:
-        raise UnsupportedFieldError(
-            f"modulus degree {deg} exceeds the supported irreducibility check (degree <= 4)"
-        )
-    for x in range(p):
-        if _poly_eval(modulus, x, p) == 0:
-            raise ReducibleModulusError(
-                f"modulus {list(modulus)} has root {x} over F_{p}"
-            )
-    if deg == 4:
-        for b, a in itertools.product(range(p), repeat=2):
-            quad = [a, b, 1]
-            _, rem = _poly_divmod(modulus, quad, p)
-            if not any(rem):
-                raise ReducibleModulusError(
-                    f"modulus {list(modulus)} is divisible by {quad} over F_{p}"
-                )
+    for d in range(1, (len(modulus) - 1) // 2 + 1):
+        for high in itertools.product(range(p), repeat=d):
+            factor = [-high[0] % p, 1] if d == 1 else [*reversed(high), 1]
+            if not any(_poly_divmod(modulus, factor, p)[1]):
+                found = f"has root {high[0]}" if d == 1 else f"is divisible by {factor}"
+                raise ReducibleModulusError(f"modulus {list(modulus)} {found} over F_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +137,14 @@ def _parse_modulus_table(text: str) -> dict[tuple[int, int], tuple[int, ...]]:
 
 
 @functools.cache
-def _load_modulus_file(path: Optional[str]) -> dict[tuple[int, int], tuple[int, ...]]:
-    if path is None:
-        text = resources.files("unitgraph").joinpath("data/moduli.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    table = _parse_modulus_table(text)
-    # Validate every entry up front so a broken table fails at load, not
-    # deep inside a computation.
-    for (p, k), coeffs in table.items():
-        if not is_prime(p):
-            raise NonPrimeError(f"modulus table entry for ({p}, {k}): {p} is not prime")
-        if coeffs[-1] % p != 1:
-            raise ValueError(f"modulus table entry for ({p}, {k}) is not monic")
-        _check_irreducible([c % p for c in coeffs], p)
-    return table
-
-
 def default_modulus_table() -> dict[tuple[int, int], tuple[int, ...]]:
-    """The packaged modulus table, validated."""
-    return _load_modulus_file(None)
-
-
-def load_modulus_table(path: str) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Load and validate a user-supplied modulus table file."""
-    return _load_modulus_file(path)
+    """The packaged modulus table, every entry checked as ``field`` checks
+    it, so a broken table fails at load, not deep inside a computation."""
+    text = resources.files("unitgraph").joinpath("data/moduli.txt").read_text()
+    return {
+        (p, k): _checked_modulus(p, k, coeffs)
+        for (p, k), coeffs in _parse_modulus_table(text).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +161,11 @@ def _checked_modulus(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
-    _check_irreducible(modulus, p)
     if p**k > _MAX_TABLE_ORDER:
         raise SizeTooLargeError(
             f"field order {p**k} exceeds the table limit {_MAX_TABLE_ORDER}"
         )
+    _check_irreducible(modulus, p)
     return modulus
 
 
@@ -424,18 +386,13 @@ def _cached_context(p: int, k: int, modulus: tuple[int, ...]) -> FieldContext:
     return FieldContext(p, k, modulus)
 
 
-def field_modulus(
-    p: int,
-    k: int = 1,
-    modulus: Optional[Sequence[int]] = None,
-    modulus_table: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
-) -> tuple[int, ...]:
+def field_modulus(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> tuple[int, ...]:
     """The modulus ``field`` would build F_{p^k} with, after every check
     it makes, without building any table.
 
     For k = 1 the modulus is the placeholder ``x`` and need not be given.
-    For k >= 2 an explicit modulus wins; otherwise the modulus table is
-    consulted (the packaged table by default).
+    For k >= 2 an explicit modulus wins; otherwise the packaged table is
+    consulted.
     """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
@@ -446,7 +403,7 @@ def field_modulus(
             raise ValueError("prime fields use the fixed placeholder modulus x")
         modulus = (0, 1)
     elif modulus is None:
-        table = modulus_table if modulus_table is not None else default_modulus_table()
+        table = default_modulus_table()
         if (p, k) not in table:
             raise UnsupportedFieldError(
                 f"no modulus on file for GF({p}^{k}); pass one explicitly"
@@ -455,24 +412,15 @@ def field_modulus(
     return _checked_modulus(p, k, modulus)
 
 
-def field(
-    p: int,
-    k: int = 1,
-    modulus: Optional[Sequence[int]] = None,
-    modulus_table: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
-) -> FieldContext:
+def field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldContext:
     """Build (or fetch from cache) the field F_{p^k} (see ``field_modulus``)."""
-    return _cached_context(p, k, field_modulus(p, k, modulus, modulus_table))
+    return _cached_context(p, k, field_modulus(p, k, modulus))
 
 
-def field_of_order(
-    q: int,
-    modulus: Optional[Sequence[int]] = None,
-    modulus_table: Optional[dict[tuple[int, int], tuple[int, ...]]] = None,
-) -> FieldContext:
+def field_of_order(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
     """Build the field of order q, factoring q = p^k automatically."""
     pk = prime_power(q)
     if pk is None:
         raise ValueError(f"{q} is not a prime power")
     p, k = pk
-    return field(p, k, modulus=modulus, modulus_table=modulus_table)
+    return field(p, k, modulus=modulus)

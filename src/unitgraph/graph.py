@@ -36,9 +36,11 @@ from .matrices import (
 from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
 
-# 4096 vertices covers every configuration the verified paths need; the
-# 65536-vertex build is possible via the override, but its simplicity scan
-# needs 8 GiB and its eigenvector checks hours, so it stays opt-in.
+# 4096 vertices covers every configuration the verified paths need.  The
+# eigenvector checks cost labels x p x rows popcounts, so they refuse
+# p > 256, where exponents no longer fit a byte: at q = 4093, n = 1 they
+# would take about 10 hours.  Larger graphs are opt-in via the override;
+# the simplicity scan holds N^2 bytes (4 GiB at 65536 vertices).
 DEFAULT_MAX_ORDER = 4096
 
 
@@ -132,11 +134,13 @@ def _translated_rows(p: int, order: int, bitmap: int) -> tuple[int, ...]:
 def is_simple(graph: CayleyGraph) -> bool:
     """Bit-exact scan for a zero diagonal and symmetry (bits past the order
     are ignored).  Rows N-1 down to 0, as N binary digits each, spell the
-    adjacency matrix with both indices reversed (about 2 N^2 bytes at
-    peak): row i must equal column i and the diagonal hold no 1."""
+    adjacency matrix with both indices reversed (about N^2 bytes at peak):
+    row i must equal column i and the diagonal hold no 1."""
     n, full = graph.order, (1 << graph.order) - 1
-    m = "".join(f"{row & full:0{n}b}" for row in reversed(graph.rows))
-    return "1" not in m[:: n + 1] and all(m[i * n:(i + 1) * n] == m[i::n] for i in range(n))
+    m = bytearray(n * n)
+    for i, row in enumerate(reversed(graph.rows)):
+        m[i * n:(i + 1) * n] = f"{row & full:0{n}b}".encode()
+    return b"1" not in m[:: n + 1] and all(m[i * n:(i + 1) * n] == m[i::n] for i in range(n))
 
 
 def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
@@ -148,22 +152,25 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     sum_e counts[e] zeta_p^e, where counts[e] is the popcount of row v
     against bucket e.  Each coordinate is compared with lambda zeta_p^e_v
     on these integer counts.  Returns lambda on success.
+
+    Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
+    fit a byte and the labels x p x rows popcounts of a whole graph run
+    for hours.
     """
     ctx, n = graph.ctx, graph.n
     if label.ctx != ctx or label.n != n:
         raise ValueError("label does not match the graph's field or size")
     p = ctx.p
+    if p > _BYTE_MAX_P:
+        raise SizeTooLargeError(
+            f"eigenvector checks at p = {p} are past the byte-exponent limit p <= {_BYTE_MAX_P}"
+        )
     exps = _exponents(ctx, n, label.flat, n * n)
-    if p <= _BYTE_MAX_P:
-        digits = bytes(range(p))
-        buckets = [
-            _bitset(exps.translate(bytes.maketrans(digits, b"0" * e + b"1" + b"0" * (p - 1 - e))))
-            for e in range(p)
-        ]
-    else:
-        buckets = [0] * p
-        for v, e in enumerate(exps):
-            buckets[e] |= 1 << v
+    digits = bytes(range(p))
+    buckets = [
+        _bitset(exps.translate(bytes.maketrans(digits, b"0" * e + b"1" + b"0" * (p - 1 - e))))
+        for e in range(p)
+    ]
     columns = [list(map(int.bit_count, map(bucket.__and__, graph.rows))) for bucket in buckets]
 
     lam = eigenvalue_charsum(label)

@@ -31,8 +31,9 @@ from .errors import ContextMismatchError, SizeTooLargeError
 from .fields import FieldContext, FieldElement
 
 # Streams larger than this refuse to start rather than run for hours;
-# override per call where the caller knows better.  2^24 comfortably
-# covers 4^9 = 262144 with room to spare.
+# override per call where the caller knows better.  2^24 covers 5^9 =
+# 1953125 (the census of the benchmark) and exactly reaches GF(64) at
+# n = 2, 64^4 = 2^24.
 DEFAULT_ENUM_CAP = 2**24
 
 EntryLike = Union[FieldElement, int]

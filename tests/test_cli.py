@@ -1,7 +1,10 @@
 """CLI behavior: output schemas, exit codes, determinism, caps."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -149,6 +152,16 @@ def test_prime_field_past_byte_exponents(capsys):
     assert [r["eigenvalue"] for r in json.loads(out)["results"]] == [256, -1]
 
 
+def test_verify_past_byte_exponents_skips_the_graph_eigenvectors(capsys):
+    code, out, _ = run(capsys, "verify", "--q", "257", "--n", "1")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "  [PASS] graph-structure: 257 vertices, degree 256, simple=True",
+        "  [SKIP] graph-eigenvectors: eigenvector checks at p = 257 are past the byte-exponent"
+        " limit p <= 256",
+    ]
+
+
 def test_charsum_all_ranks(capsys):
     code, out, _ = run(capsys, "charsum", "--q", "2", "--format", "json")
     assert code == 0
@@ -287,16 +300,6 @@ def test_field_option_validation(capsys):
     assert code == 2
 
 
-def test_modulus_file_option(capsys, tmp_path):
-    alt = tmp_path / "alt.txt"
-    alt.write_text("2 2 1,1,1\n")
-    code, out, _ = run(
-        capsys, "spectrum", "--q", "4", "--n", "2", "--modulus-file", str(alt), "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["q"] == 4
-
-
 def test_spectrum_rejects_non_prime_p(capsys):
     for argv in (["--p", "6", "--k", "2"], ["--p", "4"], ["--p", "4", "--n", "2"]):
         code, out, err = run(capsys, "spectrum", *argv)
@@ -305,11 +308,36 @@ def test_spectrum_rejects_non_prime_p(capsys):
         assert "not a prime" in err and len(err.splitlines()) == 1
 
 
-def test_missing_modulus_file_is_a_usage_error(capsys, tmp_path):
-    missing = tmp_path / "no-such-table.txt"
-    code, _, err = run(capsys, "verify", "--q", "2", "--n", "1", "--modulus-file", str(missing))
-    assert code == 2
-    assert "Traceback" not in err and len(err.splitlines()) == 1
+def test_modulus_file_option_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "4", "--n", "1", "--modulus-file", "moduli.txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --modulus-file" in capsys.readouterr().err
+
+
+def test_modulus_of_any_degree_under_the_table_limit(capsys):
+    for argv in (["--q", "32", "--modulus", "1,0,1,0,0,1"],
+                 ["--q", "64", "--modulus", "1,1,0,0,0,0,1"],
+                 ["--q", "243", "--modulus", "1,2,0,0,0,1"]):
+        code, out, _ = run(capsys, "verify", "--n", "1", *argv, "--format", "json")
+        assert code == 0, argv
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["pass"] * 4, argv
+    code, out, _ = run(capsys, "spectrum", "--q", "32", "--n", "2", "--modulus", "1,0,1,0,0,1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["0,1014816,1", "1,-992,33759", "2,32,1014816"]
+    code, out, err = run(capsys, "spectrum", "--q", "32", "--n", "2", "--modulus", "1,1,0,0,0,1")
+    assert code == 2 and out == ""
+    assert err == "error: modulus [1, 1, 0, 0, 0, 1] is divisible by [1, 1, 1] over F_2\n"
+
+
+def test_modulus_past_the_table_limit_hits_a_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", "--p", "2", "--k", "40",
+                         "--modulus", ",".join(["1"] * 40 + ["1"]))
+    assert code == 3 and out == ""
+    assert err == f"error: field order {2**40} exceeds the table limit 4096\n"
+    assert time.perf_counter() - start < 1
 
 
 def test_unwritable_export_path_is_a_usage_error(capsys, tmp_path):
@@ -317,6 +345,28 @@ def test_unwritable_export_path_is_a_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "export-graph", "--q", "2", "--n", "2", "--output", str(target))
     assert code == 2
     assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_export_write_is_one_line(capsys):
+    # the edges fit the write buffer, so the write fails when the file closes
+    code, out, err = run(capsys, "export-graph", "--q", "2", "--n", "2", "--output", "/dev/full")
+    assert code == 2 and out == ""
+    assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+def test_export_to_a_closed_stdout_ends_without_a_traceback():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unitgraph.cli", "export-graph", "--q", "2", "--n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+    )
+    assert proc.stdout.readline() == b"0 84\n"
+    proc.stdout.close()  # 43008 edges do not fit the pipe, so the writer sees it closed
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_gap_empty_subset_file_reaches_the_library(capsys, tmp_path):
@@ -354,12 +404,11 @@ def test_gap_subset_file_y_needs_subset_file(capsys, tmp_path):
     assert "--subset-file-y needs --subset-file" in err and len(err.splitlines()) == 1
 
 
-def test_spectrum_n3_validates_modulus_options(capsys, tmp_path):
-    for extra in (["--modulus", "1,1,1,1"], ["--modulus-file", str(tmp_path / "no-such.txt")]):
-        for n in ("2", "3"):
-            code, out, err = run(capsys, "spectrum", "--q", "4", "--n", n, *extra)
-            assert code == 2, (extra, n)
-            assert out == "" and len(err.splitlines()) == 1
+def test_spectrum_n3_validates_modulus_options(capsys):
+    for n in ("2", "3"):
+        code, out, err = run(capsys, "spectrum", "--q", "4", "--n", n, "--modulus", "1,1,1,1")
+        assert code == 2, n
+        assert out == "" and len(err.splitlines()) == 1
     # a valid modulus leaves the closed forms as they are
     _, plain, _ = run(capsys, "spectrum", "--q", "4", "--format", "json")
     code, out, _ = run(capsys, "spectrum", "--q", "4", "--modulus", "1,1,1", "--format", "json")
@@ -561,7 +610,6 @@ def test_verify_decides_an_all_skip_report_before_field_tables(capsys, monkeypat
     # the field options are still checked in full
     for extra, message in (
         (["--modulus", "1,2"], "placeholder modulus"),
-        (["--modulus-file", "missing.txt"], "cannot read modulus file"),
         (["--k", "2", "--modulus", "1,1,1"], "has root"),
     ):
         code, out, err = run(capsys, "verify", "--p", "7", "--n", "9", *extra)

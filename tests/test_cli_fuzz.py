@@ -43,7 +43,6 @@ MODULI = [[]] * 16 + [
     ["--modulus=-1,1"],
     ["--modulus=1,,1"],
     ["--modulus=x"],
-    ["--modulus-file", MISSING],
 ]
 
 

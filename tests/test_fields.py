@@ -51,8 +51,9 @@ def test_construction_errors():
         field(3, 2, [2, 0, 1])  # x^2 - 1 = (x-1)(x+1)
     with pytest.raises(UnsupportedFieldError):
         field(7, 2)  # not in the packaged table, no modulus given
-    with pytest.raises(UnsupportedFieldError):
-        field(2, 5, [1, 0, 1, 0, 0, 1])  # degree 5 check unsupported
+    assert field(2, 5, (1, 0, 1, 0, 0, 1)).q == 32  # x^5 + x^2 + 1
+    with pytest.raises(ReducibleModulusError, match=re.escape("divisible by [1, 1, 1] over F_2")):
+        field(2, 5, (1, 1, 0, 0, 0, 1))  # (x^2 + x + 1)(x^3 + x^2 + 1), no root
     with pytest.raises(ValueError):
         field(2, 0)
 
@@ -60,7 +61,11 @@ def test_construction_errors():
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_accepted_moduli_match_gauss_counts(p):
     # monic irreducibles of degree k over F_p: (1/k) sum_{d | k} mu(d) p^(k/d)
-    for k, expected in [(2, (p**2 - p) // 2), (3, (p**3 - p) // 3), (4, (p**4 - p**2) // 4)]:
+    counts = [(2, (p**2 - p) // 2), (3, (p**3 - p) // 3), (4, (p**4 - p**2) // 4)]
+    counts += [(5, (p**5 - p) // 5)] if p**5 <= 4096 else []
+    if p == 2:
+        counts += [(6, (2**6 - 2**3 - 2**2 + 2) // 6), (7, (2**7 - 2) // 7)]
+    for k, expected in counts:
         accepted = 0
         for low in itertools.product(range(p), repeat=k):
             try:
@@ -207,14 +212,9 @@ def test_modulus_table_parsing(tmp_path):
         _parse_modulus_table("2 two 1,1,1\n")
 
 
-def test_custom_modulus_table_roundtrip(tmp_path):
-    # any valid table works; 9 = 3^2 with a different irreducible modulus
-    alt = tmp_path / "alt.txt"
-    alt.write_text("3 2 2,1,1\n")  # x^2 + x + 2, no roots mod 3
-    from unitgraph import load_modulus_table
-
-    table = load_modulus_table(str(alt))
-    ctx = field(3, 2, modulus_table=table)
+def test_custom_modulus_table_roundtrip():
+    # any valid modulus works; 9 = 3^2 with x^2 + x + 2, no roots mod 3
+    ctx = field(3, 2, modulus=(2, 1, 1))
     assert ctx.modulus == (2, 1, 1)
     # trace is basis independent: fibers still balanced
     fibers = [0] * 3
@@ -292,7 +292,9 @@ def tables(ctx):
     return ctx._add, ctx._mul, ctx._neg, ctx._inv, ctx._trace
 
 
-@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+@pytest.mark.parametrize(
+    "p, k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)]
+)
 def test_tables_match_polynomial_products(p, k):
     # every monic irreducible modulus, primitive or not (x^2 + 1 over F_3)
     moduli = []
