@@ -20,12 +20,10 @@ from .errors import (
     ReducibleModulusError,
     SizeTooLargeError,
     TheoremViolationError,
-    UnsupportedFieldError,
 )
 from .fields import (
     FieldContext,
     FieldElement,
-    default_modulus_table,
     field,
     field_of_order,
     prime_power,

@@ -14,7 +14,6 @@ win over the environment.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import random
@@ -25,7 +24,7 @@ from . import gap as gap_mod
 from . import graph as graph_mod
 from . import matrices, spectra
 from .errors import CheckFailedError, SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext, field, field_modulus, is_prime, prime_power
+from .fields import FieldContext, _over_cap, _power, field, field_modulus, is_prime, prime_power
 
 # (exception class, exit code, stderr prefix): an exception leaving a
 # subcommand is reported through the first row it is an instance of
@@ -55,19 +54,6 @@ def _caps(args) -> tuple[int, int]:
     )
 
 
-def _over_cap(q: int, e: int, cap: int) -> bool:
-    """q^e > cap, with no q^e built when its bit length alone decides."""
-    return e * (q.bit_length() - 1) > cap.bit_length() or q**e > cap
-
-
-def _power(q: int, e: int) -> str:
-    """q^e in decimal where Python prints it, else written q^e."""
-    if e * (q.bit_length() - 1) <= 1 << 20:  # q^e has at least this many bits
-        with contextlib.suppress(ValueError):  # over Python's int-to-str digit limit
-            return str(q**e)
-    return f"{q}^{e}"
-
-
 def _resolve_pk(args) -> tuple[int, int]:
     """(p, k) of the field options, once they and ``--n`` are checked."""
     if args.q is not None and args.p is not None:
@@ -95,7 +81,9 @@ def _resolve_field(args, cap: Optional[int] = None) -> tuple[int, int, tuple[int
     first."""
     p, k = _resolve_pk(args)
     if cap is not None and _over_cap(p, k * args.n**2, cap):
-        raise SizeTooLargeError(f"{p**k}^{args.n**2} matrices exceed the cap {cap}")
+        q = _power(p, k)  # bracketed where Python cannot print it: (2^20000)^4
+        q = q if q.isdigit() else f"({q})"
+        raise SizeTooLargeError(f"{q}^{args.n**2} matrices exceed the cap {cap}")
     modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     return p, k, field_modulus(p, k, modulus=modulus)
 
@@ -123,6 +111,12 @@ def _cmd_spectrum(args):
             p, k, _ = _resolve_field(args)
         else:
             p, k = _resolve_pk(args)
+        vertices = _power(p, k * 9)  # no number in the report is larger
+        if not vertices.isdigit():
+            raise SizeTooLargeError(
+                f"{vertices} vertices: the report's numbers exceed Python's limit for "
+                "integer string conversion"
+            )
         spectrum = spectra.spectrum_closed_form(p**k)
     else:
         ctx = _resolve_context(args, enum_cap)

@@ -17,10 +17,6 @@ class ReducibleModulusError(ValueError):
     """A modulus polynomial that factors over the prime field."""
 
 
-class UnsupportedFieldError(ValueError):
-    """No modulus available (or checkable) for the requested extension."""
-
-
 class ContextMismatchError(ValueError):
     """Operands built over different fields, dimensions, or root orders."""
 

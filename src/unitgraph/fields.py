@@ -21,19 +21,19 @@ The absolute trace maps a in F_{p^k} to a + a^p + ... + a^(p^(k-1)),
 which always lands in the prime subfield and is returned as a plain
 integer in [0, p).
 
-Moduli for common field orders ship in ``data/moduli.txt`` (one line per
-field, ``p k c0,c1,...,ck``); any other monic irreducible modulus of any
-degree may be passed explicitly, since traces and everything built on
-them are independent of the basis choice.
+Every order under the table limit has a default modulus, the first
+irreducible x^k + ... + c1*x + 1 in element index order; any other monic
+irreducible modulus may be passed explicitly, since traces and
+everything built on them are independent of the basis choice.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -42,12 +42,31 @@ from .errors import (
     NonPrimeError,
     ReducibleModulusError,
     SizeTooLargeError,
-    UnsupportedFieldError,
 )
 
 # Tables are dense q x q; anything bigger than this is outside the design
 # scale of the package (exhaustive enumeration work tops out at q = 27).
 _MAX_TABLE_ORDER = 4096
+
+
+def _over_cap(q: int, e: int, cap: int) -> bool:
+    """q^e > cap, with no q^e built when its bit length alone decides."""
+    return e * (q.bit_length() - 1) > cap.bit_length() or q**e > cap
+
+
+def _power(q: int, e: int) -> str:
+    """q^e in decimal where Python prints it, else written q^e."""
+    if e * (q.bit_length() - 1) <= 1 << 20:  # q^e has at least this many bits
+        with contextlib.suppress(ValueError):  # over Python's int-to-str digit limit
+            return str(q**e)
+    return f"{q}^{e}"
+
+
+def _require_table_order(p: int, k: int) -> None:
+    if _over_cap(p, k, _MAX_TABLE_ORDER):
+        raise SizeTooLargeError(
+            f"field order {_power(p, k)} exceeds the table limit {_MAX_TABLE_ORDER}"
+        )
 
 
 def _least_prime_factor(n: int) -> int:
@@ -113,41 +132,6 @@ def _check_irreducible(modulus: Sequence[int], p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# modulus table
-
-
-def _parse_modulus_table(text: str) -> dict[tuple[int, int], tuple[int, ...]]:
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            p_str, k_str, coeff_str = line.split()
-            p, k = int(p_str), int(k_str)
-            coeffs = tuple(int(c) for c in coeff_str.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad modulus table line {lineno}: {raw!r}") from exc
-        if len(coeffs) != k + 1:
-            raise ValueError(
-                f"modulus table line {lineno}: expected {k + 1} coefficients, got {len(coeffs)}"
-            )
-        table[(p, k)] = coeffs
-    return table
-
-
-@functools.cache
-def default_modulus_table() -> dict[tuple[int, int], tuple[int, ...]]:
-    """The packaged modulus table, every entry checked as ``field`` checks
-    it, so a broken table fails at load, not deep inside a computation."""
-    text = resources.files("unitgraph").joinpath("data/moduli.txt").read_text()
-    return {
-        (p, k): _checked_modulus(p, k, coeffs)
-        for (p, k), coeffs in _parse_modulus_table(text).items()
-    }
-
-
-# ---------------------------------------------------------------------------
 # field context and elements
 
 
@@ -161,10 +145,7 @@ def _checked_modulus(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != k + 1 or modulus[-1] != 1:
         raise ValueError(f"modulus must be monic of degree {k}, got {list(modulus)}")
-    if p**k > _MAX_TABLE_ORDER:
-        raise SizeTooLargeError(
-            f"field order {p**k} exceeds the table limit {_MAX_TABLE_ORDER}"
-        )
+    _require_table_order(p, k)
     _check_irreducible(modulus, p)
     return modulus
 
@@ -391,8 +372,12 @@ def field_modulus(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -
     it makes, without building any table.
 
     For k = 1 the modulus is the placeholder ``x`` and need not be given.
-    For k >= 2 an explicit modulus wins; otherwise the packaged table is
-    consulted.
+    For k >= 2 an explicit modulus wins; otherwise, under the table
+    limit, the default is the first irreducible x^k + ... + c1*x + 1 by
+    index c0 + c1*p + ..., as for elements.  The constant term is fixed
+    at 1 because element indices, and so every stored subset and report,
+    depend on the modulus: the least index alone would move GF(25) from
+    x^2 + x + 1 to x^2 + 2.
     """
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
@@ -403,12 +388,10 @@ def field_modulus(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -
             raise ValueError("prime fields use the fixed placeholder modulus x")
         modulus = (0, 1)
     elif modulus is None:
-        table = default_modulus_table()
-        if (p, k) not in table:
-            raise UnsupportedFieldError(
-                f"no modulus on file for GF({p}^{k}); pass one explicitly"
-            )
-        modulus = table[(p, k)]
+        _require_table_order(p, k)  # before a candidate of k + 1 coefficients is built
+        for high in itertools.product(range(p), repeat=k - 1):  # c_{k-1} .. c1, c1 fastest
+            with contextlib.suppress(ReducibleModulusError):
+                return _checked_modulus(p, k, (1, *reversed(high), 1))
     return _checked_modulus(p, k, modulus)
 
 

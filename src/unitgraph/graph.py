@@ -28,7 +28,7 @@ from typing import IO, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
-from .fields import FieldContext
+from .fields import FieldContext, _over_cap, _power
 from .matrices import (
     Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count, matrix_from_index,
     matrix_to_index,
@@ -85,11 +85,11 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
     because this object is the ground truth they are checked against.
     Row i is the bitmap translated by B_i: bit j is det(B_j - B_i) != 0.
     """
-    order = matrix_count(ctx, n)
-    if order > max_order:
+    if _over_cap(ctx.q, n * n, max_order):
         raise SizeTooLargeError(
-            f"graph on {order} vertices exceeds the cap {max_order}"
+            f"graph on {_power(ctx.q, n * n)} vertices exceeds the cap {max_order}"
         )
+    order = matrix_count(ctx, n)
     dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in _iter_flats(ctx, n))
     graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)))
 

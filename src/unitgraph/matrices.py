@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContextMismatchError, SizeTooLargeError
-from .fields import FieldContext, FieldElement
+from .fields import FieldContext, FieldElement, _over_cap, _power
 
 # Streams larger than this refuse to start rather than run for hours;
 # override per call where the caller knows better.  2^24 covers 5^9 =
@@ -243,13 +243,11 @@ def matrix_count(ctx: FieldContext, n: int) -> int:
     return ctx.q ** (n * n)
 
 
-def _require_under_cap(ctx: FieldContext, n: int, cap: int) -> int:
-    total = matrix_count(ctx, n)
-    if total > cap:
+def _require_under_cap(ctx: FieldContext, n: int, cap: int) -> None:
+    if _over_cap(ctx.q, n * n, cap):
         raise SizeTooLargeError(
-            f"enumerating {total} matrices over {ctx!r} exceeds the cap {cap}"
+            f"enumerating {_power(ctx.q, n * n)} matrices over {ctx!r} exceeds the cap {cap}"
         )
-    return total
 
 
 def matrix_from_index(ctx: FieldContext, n: int, index: int) -> Matrix:

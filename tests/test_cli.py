@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from unitgraph import enumerate_matrices, field, matrix_to_index
+from unitgraph import enumerate_matrices, field, gl_order, matrix_to_index
 from unitgraph.cli import main
 
 F2 = field(2)
@@ -338,6 +338,29 @@ def test_modulus_past_the_table_limit_hits_a_cap(capsys):
     assert code == 3 and out == ""
     assert err == f"error: field order {2**40} exceeds the table limit 4096\n"
     assert time.perf_counter() - start < 1
+
+
+def test_every_extension_order_under_the_table_limit_has_a_default(capsys):
+    code, out, err = run(capsys, "verify", "--p", "7", "--k", "2", "--n", "1")
+    assert code == 0 and err == "" and "[PASS] graph-eigenvectors" in out
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--p", "2", "--k", "13", "--n", "1")
+    assert code == 3 and out == ""
+    assert err == "error: field order 8192 exceeds the table limit 4096\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_spectrum_past_the_digit_limit_hits_a_cap(capsys):
+    # (2^1587)^9 has 4300 digits, Python's default limit; (2^1588)^9 has 4303
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run(capsys, "spectrum", "--p", "2", "--k", "1587", "--format", fmt)
+        assert code == 0 and err == "" and str(gl_order(2**1587, 3)) in out  # rank-0 eigenvalue
+        code, out, err = run(capsys, "spectrum", "--p", "2", "--k", "1588", "--format", fmt)
+        assert code == 3 and out == ""
+        assert err == (
+            "error: 2^14292 vertices: the report's numbers exceed Python's limit for "
+            "integer string conversion\n"
+        )
 
 
 def test_unwritable_export_path_is_a_usage_error(capsys, tmp_path):

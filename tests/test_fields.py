@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ from unitgraph import (
     ContextMismatchError,
     NonPrimeError,
     ReducibleModulusError,
-    UnsupportedFieldError,
+    SizeTooLargeError,
     field,
     field_of_order,
     prime_power,
@@ -20,9 +21,8 @@ from unitgraph import fields
 from unitgraph.fields import (
     FieldContext,
     _check_irreducible,
-    _parse_modulus_table,
+    _checked_modulus,
     _poly_divmod,
-    default_modulus_table,
     field_modulus,
     is_prime,
     poly_str,
@@ -49,8 +49,7 @@ def test_construction_errors():
         field(2, 2, [0, 0, 1])  # x^2 = x * x
     with pytest.raises(ReducibleModulusError):
         field(3, 2, [2, 0, 1])  # x^2 - 1 = (x-1)(x+1)
-    with pytest.raises(UnsupportedFieldError):
-        field(7, 2)  # not in the packaged table, no modulus given
+    assert field(7, 2).modulus == (1, 0, 1)  # the default: x^2 + 1, no root mod 7
     assert field(2, 5, (1, 0, 1, 0, 0, 1)).q == 32  # x^5 + x^2 + 1
     with pytest.raises(ReducibleModulusError, match=re.escape("divisible by [1, 1, 1] over F_2")):
         field(2, 5, (1, 1, 0, 0, 0, 1))  # (x^2 + x + 1)(x^3 + x^2 + 1), no root
@@ -195,21 +194,53 @@ def test_element_constructors_and_repr():
 
 
 def test_packaged_modulus_table():
-    table = default_modulus_table()
-    for (p, k) in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
-        assert (p, k) in table
-        field(p, k)  # builds and validates
+    # element indices depend on the modulus, so the defaults of these orders
+    # are pinned: stored subsets and reports over them must not renumber
+    pinned = {
+        (2, 2): (1, 1, 1),
+        (2, 3): (1, 1, 0, 1),
+        (2, 4): (1, 1, 0, 0, 1),
+        (3, 2): (1, 0, 1),
+        (3, 3): (1, 2, 0, 1),
+        (5, 2): (1, 1, 1),
+    }
+    for (p, k), modulus in pinned.items():
+        assert field_modulus(p, k) == modulus
+        assert field(p, k).modulus == modulus
 
 
-def test_modulus_table_parsing(tmp_path):
-    good = tmp_path / "good.txt"
-    good.write_text("# comment\n2 2 1,1,1\n\n3 2 1,0,1\n")
-    table = _parse_modulus_table(good.read_text())
-    assert table[(2, 2)] == (1, 1, 1)
-    with pytest.raises(ValueError):
-        _parse_modulus_table("2 2 1,1\n")  # wrong coefficient count
-    with pytest.raises(ValueError):
-        _parse_modulus_table("2 two 1,1,1\n")
+# every extension order p^k <= 4096 with k >= 2
+EXTENSION_ORDERS = [
+    (p, k) for p in range(2, 65) if is_prime(p) for k in range(2, 13) if p**k <= 4096
+]
+
+
+def test_default_modulus_is_the_first_irreducible_with_constant_term_one():
+    assert len(EXTENSION_ORDERS) == 40
+    for p, k in EXTENSION_ORDERS:
+        default = field_modulus(p, k)
+        assert default[0] == 1 and _checked_modulus(p, k, default) == default
+        index = sum(c * p**i for i, c in enumerate(default[:k]))
+        for low in range(1, index, p):  # every lower index with c0 = 1
+            candidate = [low // p**i % p for i in range(k)] + [1]
+            with pytest.raises(ReducibleModulusError):
+                _check_irreducible(candidate, p)
+        if p**k <= 256:
+            assert field(p, k).modulus == default
+    # the moduli these orders were first built with through --modulus
+    assert field_modulus(2, 5) == (1, 0, 1, 0, 0, 1)
+    assert field_modulus(2, 6) == (1, 1, 0, 0, 0, 0, 1)
+    assert field_modulus(3, 5) == (1, 2, 0, 0, 0, 1)
+
+
+def test_default_modulus_past_the_table_limit_is_refused_without_a_search():
+    start = time.perf_counter()
+    for p, k in [(2, 13), (2, 40), (4099, 2)]:
+        with pytest.raises(SizeTooLargeError, match="exceeds the table limit 4096"):
+            field(p, k)
+    with pytest.raises(SizeTooLargeError, match=r"^field order 2\^100000000 exceeds"):
+        field(2, 10**8)  # past Python's digit limit, the order is written p^k
+    assert time.perf_counter() - start < 1
 
 
 def test_custom_modulus_table_roundtrip():

@@ -11,6 +11,8 @@ from unitgraph import (
     ContextMismatchError,
     Matrix,
     SizeTooLargeError,
+    build_graph,
+    eigenvalue_charsum,
     enumerate_invertible,
     enumerate_matrices,
     field,
@@ -166,6 +168,25 @@ def test_enumeration_cap():
         list(enumerate_matrices(F2, 3, cap=100))
     with pytest.raises(SizeTooLargeError):
         next(iter(enumerate_matrices(F2, 5)))  # 2^25 over the default cap
+
+
+def test_cap_checks_past_the_digit_limit_write_the_count_as_a_power():
+    # 2^40000 has more digits than Python converts to str; nothing builds it
+    for call in (
+        lambda: rank_census(F2, 200),
+        lambda: list(enumerate_matrices(F2, 200)),
+        lambda: build_graph(F2, 200),
+        lambda: eigenvalue_charsum(rank_representative(F2, 200, 1)),
+    ):
+        with pytest.raises(SizeTooLargeError, match=r" 2\^40000 "):
+            call()
+    # a count Python prints stays in decimal
+    with pytest.raises(SizeTooLargeError) as caught:
+        rank_census(F2, 5)
+    assert str(caught.value) == "enumerating 33554432 matrices over GF(2) exceeds the cap 16777216"
+    with pytest.raises(SizeTooLargeError) as caught:
+        build_graph(F2, 3, max_order=100)
+    assert str(caught.value) == "graph on 512 vertices exceeds the cap 100"
 
 
 def test_context_and_dimension_mismatch():
