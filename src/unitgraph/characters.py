@@ -21,8 +21,8 @@ from typing import Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import ContextMismatchError
-from .fields import FieldContext, FieldElement
-from .matrices import DEFAULT_ENUM_CAP, Matrix, _iter_flats, _require_under_cap
+from .fields import FieldContext, FieldElement, _all_digits
+from .matrices import DEFAULT_ENUM_CAP, Matrix, _require_under_cap
 
 
 def field_char(label: FieldElement, c: FieldElement) -> Cyclotomic:
@@ -110,7 +110,7 @@ def _exponents(ctx: FieldContext, n: int, label_flat: Sequence[int], digits: int
     """
     if ctx.p > _BYTE_MAX_P:
         terms = _label_terms(ctx, n, label_flat)
-        flats = itertools.islice(_iter_flats(ctx, n), ctx.q**digits)
+        flats = itertools.islice(_all_digits(ctx.q, n * n), ctx.q**digits)
         return [_exponent_of(ctx, terms, flat) for flat in flats]
     shift = _shift_tables(ctx.p)
     mul, trace = ctx._mul, ctx._trace

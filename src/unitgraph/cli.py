@@ -333,7 +333,7 @@ def _read_subset(path: str, ctx: FieldContext, n: int) -> gap_mod.IndexSubset:
 
 
 def _cmd_gap(args):
-    # the option combination is checked before any field table is built
+    # the options and the sample size are checked before any field table is built
     if args.subset_file:
         if args.random_size is not None:
             raise ValueError("give either --subset-file or --random-size, not both")
@@ -347,6 +347,8 @@ def _cmd_gap(args):
         raise ValueError("--random-size must be >= 1")
     elif args.trials is not None and args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    else:
+        gap_mod._require_sample(args.random_size, *_resolve_pk(args), 3)
     ctx = _resolve_context(args)
     n = 3
     reports = []
@@ -473,9 +475,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if str(exc):  # a failure the report shows needs no stderr line
             print(f"{prefix}{exc}", file=sys.stderr)
         return code
-    except BrokenPipeError as exc:
-        # the reader of stdout is gone (as after ``| head``): stdout now
-        # points at devnull, so the interpreter's flush at exit cannot fail
+    except OSError as exc:
+        # stdout failed, as when its reader is gone (``| head``) or its
+        # device is full: it now points at devnull, so the interpreter's
+        # flush at exit cannot fail
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

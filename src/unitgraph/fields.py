@@ -7,15 +7,17 @@ constant term first.  Every element is identified with an integer index
     index = c0 + c1*p + ... + c_{k-1}*p^(k-1),
 
 so enumeration by increasing index is exactly lexicographic coefficient
-order with the constant term varying fastest.  A ``FieldContext`` holds
-full addition/multiplication/inverse/trace lookup tables, which keeps all
-arithmetic exact and O(1).  The tables come from index arithmetic: the
-addition rows are built one base-p digit at a time, each digit a cyclic
-rotation of blocks of the rows built so far, and multiplication,
-inverses and the Frobenius steps of the trace are lookups in the power
-and log tables of one generator of the multiplicative group.  The tables
-are dense q x q, so the order is limited to 4096 (about 2 s to build);
-enumeration work stays at q <= 27.
+order with the constant term varying fastest.  ``_digits``, ``_number``
+and ``_all_digits`` are the one codec between indices and digit tuples,
+for elements here and for matrix indices in ``matrices``.  A
+``FieldContext`` holds full addition/multiplication/inverse/trace
+lookup tables, which keeps all arithmetic exact and O(1).  The tables
+come from index arithmetic: the addition rows are built one base-p digit
+at a time, each digit a cyclic rotation of blocks of the rows built so
+far, and multiplication, inverses and the Frobenius steps of the trace
+are lookups in the power and log tables of one generator of the
+multiplicative group.  The tables are dense q x q, so the order is
+limited to 4096 (about 2 s to build); enumeration work stays at q <= 27.
 
 The absolute trace maps a in F_{p^k} to a + a^p + ... + a^(p^(k-1)),
 which always lands in the prime subfield and is returned as a plain
@@ -69,30 +71,72 @@ def _require_table_order(p: int, k: int) -> None:
         )
 
 
-def _least_prime_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division."""
-    for d in itertools.chain((2,), range(3, math.isqrt(n) + 1, 2)):
-        if n % d == 0:
-            return d
-    return n
+# Miller-Rabin with the first 13 primes as bases is exact below the bound
+# (Sorenson and Webster, 2015)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and _least_prime_factor(n) == n
+    """Trial division by the small primes, then Miller-Rabin with them as
+    bases; past the bound, no factor up to 41 raises ``SizeTooLargeError``."""
+    if n < 2 or any(n % a == 0 for a in _SMALL_PRIMES):
+        return n in _SMALL_PRIMES
+    if n >= _EXACT_PRIME_BOUND:
+        raise SizeTooLargeError(f"primality past {_EXACT_PRIME_BOUND} is not decided exactly")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _SMALL_PRIMES:  # a^d is 1, or it or one of its s - 1 squares is -1
+        x = pow(a, (n - 1) >> s, n)
+        squares = itertools.accumulate(range(s - 1), lambda y, _: y * y % n, initial=x)
+        if x != 1 and n - 1 not in squares:
+            return False
+    return True
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """Decompose q as p^k with p prime, or return None.
 
-    The decomposition is unique, so there is no ambiguity to resolve.
+    The decomposition is unique, so only the largest k with q a perfect
+    k-th power can give it, and its root decides.  The root is found by
+    Newton steps, which descend to floor(q^(1/k)) from a start above it.
     """
     if q < 2:
         return None
-    p, k = _least_prime_factor(q), 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    return (p, k) if q == 1 else None
+    for k in range(q.bit_length(), 0, -1):
+        e = math.log2(q) / k  # its float error is far below the start's margin
+        r = int(2**e * 1.000001) + 1 if e < 1000 else 1 << math.ceil(e) + 1
+        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = s
+        if r**k == q:
+            return (r, k) if is_prime(r) else None
+
+
+# ---------------------------------------------------------------------------
+# the digit codec: an element index is its coefficients as base-p digits, a
+# matrix index its entries as base-q digits, the least significant first
+
+
+def _digits(index: int, base: int, count: int) -> tuple[int, ...]:
+    """The ``count`` lowest base-``base`` digits of index, least significant first."""
+    digits = []
+    for _ in range(count):
+        index, digit = divmod(index, base)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def _number(digits: Sequence[int], base: int) -> int:
+    """Inverse of ``_digits``: the number with these digits."""
+    index = 0
+    for digit in reversed(digits):
+        index = index * base + digit
+    return index
+
+
+def _all_digits(base: int, count: int) -> Iterator[tuple[int, ...]]:
+    """``_digits(t, base, count)`` for every t < base**count, in order of t
+    (itertools.product varies its last place fastest, so each is reversed)."""
+    return (rev[::-1] for rev in itertools.product(range(base), repeat=count))
 
 
 # ---------------------------------------------------------------------------
@@ -124,10 +168,10 @@ def _check_irreducible(modulus: Sequence[int], p: int) -> None:
     126 divisions (degree 12 over F_2).
     """
     for d in range(1, (len(modulus) - 1) // 2 + 1):
-        for high in itertools.product(range(p), repeat=d):
-            factor = [-high[0] % p, 1] if d == 1 else [*reversed(high), 1]
+        for low in _all_digits(p, d):
+            factor = [-low[0] % p, 1] if d == 1 else [*low, 1]
             if not any(_poly_divmod(modulus, factor, p)[1]):
-                found = f"has root {high[0]}" if d == 1 else f"is divisible by {factor}"
+                found = f"has root {low[0]}" if d == 1 else f"is divisible by {factor}"
                 raise ReducibleModulusError(f"modulus {list(modulus)} {found} over F_{p}")
 
 
@@ -175,19 +219,6 @@ class FieldContext:
 
     # -- table construction -------------------------------------------------
 
-    def _decode(self, index: int) -> tuple[int, ...]:
-        coeffs = []
-        for _ in range(self.k):
-            index, c = divmod(index, self.p)
-            coeffs.append(c)
-        return tuple(coeffs)
-
-    def _encode(self, coeffs: Sequence[int]) -> int:
-        index = 0
-        for c in reversed(coeffs):
-            index = index * self.p + c % self.p
-        return index
-
     def _build_tables(self) -> None:
         """Every table by index arithmetic, with no product per entry.
 
@@ -218,10 +249,10 @@ class FieldContext:
 
         def mul_poly(a: int, b: int) -> int:
             prod = [0] * (2 * k - 1)
-            for i, x in enumerate(self._decode(a)):
-                for j, y in enumerate(self._decode(b)):
+            for i, x in enumerate(_digits(a, p, k)):
+                for j, y in enumerate(_digits(b, p, k)):
                     prod[i + j] += x * y
-            return self._encode(_poly_divmod(prod, self.modulus, p)[1])
+            return _number(_poly_divmod(prod, self.modulus, p)[1], p)
 
         order = q - 1
         for g in range(1, q):  # log[g^e] = e until a power repeats
@@ -273,7 +304,7 @@ class FieldContext:
         coeffs = list(value)
         if len(coeffs) != self.k:
             raise ValueError(f"expected {self.k} coefficients, got {len(coeffs)}")
-        return FieldElement(self, self._encode(coeffs))
+        return FieldElement(self, _number([c % self.p for c in coeffs], self.p))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, 0)
@@ -301,7 +332,7 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Residue polynomial coefficients, constant term first."""
-        return self.ctx._decode(self.index)
+        return _digits(self.index, self.ctx.p, self.ctx.k)
 
     def _check(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
@@ -389,9 +420,9 @@ def field_modulus(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -
         modulus = (0, 1)
     elif modulus is None:
         _require_table_order(p, k)  # before a candidate of k + 1 coefficients is built
-        for high in itertools.product(range(p), repeat=k - 1):  # c_{k-1} .. c1, c1 fastest
+        for low in _all_digits(p, k - 1):  # c1 .. c_{k-1}, c1 fastest
             with contextlib.suppress(ReducibleModulusError):
-                return _checked_modulus(p, k, (1, *reversed(high), 1))
+                return _checked_modulus(p, k, (1, *low, 1))
     return _checked_modulus(p, k, modulus)
 
 

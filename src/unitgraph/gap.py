@@ -44,8 +44,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext
-from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _index_digits, _rank_table
+from .fields import FieldContext, _digits, _over_cap, _power
+from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _rank_table
 from .matrices import matrix_count, matrix_from_index, matrix_to_index
 from .spectra import eigenvalue_closed_form
 
@@ -184,9 +184,9 @@ def _pairwise_scan(
     """The scan by one unrolled determinant per pair; the positions (i, j)
     of the first hit.  ys is decoded once, each a when it is reached."""
     q, add, neg = ctx.q, ctx._add, ctx._neg
-    flats = [_index_digits(q, n, b) for b in ys]
+    flats = [_digits(b, q, n * n) for b in ys]
     for i, a in enumerate(xs):
-        minus_a = [neg[x] for x in _index_digits(q, n, a)]
+        minus_a = [neg[x] for x in _digits(a, q, n * n)]
         for j, fb in enumerate(flats):
             if _det_flat(ctx, n, tuple(add[x][y] for x, y in zip(fb, minus_a))):
                 return i, j
@@ -201,33 +201,36 @@ def _table_scan(
 
     The n^2 digits of a matrix index are cut into three blocks of ``width``
     consecutive digits (the rows at n = 3; the last block may be short or
-    empty), so block k of index t is t // Q**k % Q with Q = q**width.  For
-    each distinct block v of an a, one list holds the place-weighted index
-    of u - v for every possible block u, so index(b - a) is three list
-    lookups and two adds.  One list of Q integers is built per distinct
-    block of the a's reached: Q is at most 125 at n = 3 (q <= 5 under the
-    cap) and 4096 at n <= 2.
+    empty), so the blocks of index t are its three base-Q digits with
+    Q = q**width.  For each distinct block v of an a, one list holds the
+    place-weighted index of u - v for every possible block u, so
+    index(b - a) is three list lookups and two adds.  One list of Q
+    integers is built per distinct block of the a's reached: Q is at most
+    125 at n = 3 (q <= 5 under the cap) and 4096 at n <= 2.
     """
     q, table = ctx.q, _rank_table(ctx, n)
     add, neg = ctx._add, ctx._neg
     width = -(-n * n // 3)
-    big, big2 = q**width, q ** (2 * width)
+    big = q**width
 
     @functools.cache
     def differences(k: int, v: int) -> list[int]:
         terms, place = [0], big**k
-        for _ in range(width):  # u's next digit x adds place * (x - v's digit)
-            v, digit = divmod(v, q)
+        for digit in _digits(v, q, width):  # u's next digit x adds place * (x - digit)
             terms = [place * x + t for x in add[neg[digit]] for t in terms]
             place *= q
         return terms
 
-    blocks = [(b % big, b // big % big, b // big2) for b in ys]
+    blocks: list[tuple[int, ...]] = []
+
+    def first_pass():  # most queries hit early: decode ys as the first a reaches them
+        for b in ys:
+            blocks.append(_digits(b, big, 3))
+            yield blocks[-1]
+
     for i, a in enumerate(xs):
-        d0 = differences(0, a % big)
-        d1 = differences(1, a // big % big)
-        d2 = differences(2, a // big2)
-        for u0, u1, u2 in blocks:
+        d0, d1, d2 = (differences(k, v) for k, v in enumerate(_digits(a, big, 3)))
+        for u0, u1, u2 in blocks if i else first_pass():
             if table[d0[u0] + d1[u1] + d2[u2]] == n:
                 # an equal b earlier in ys would have been the hit, so the
                 # first equal blocks are this b's
@@ -277,9 +280,17 @@ def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> I
     caller's seeded ``random.Random`` (indices drawn with ``rng.sample``)."""
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    total = matrix_count(ctx, n)
-    if size > total:
-        raise ValueError(f"cannot sample {size} distinct matrices from {total}")
-    if total > sys.maxsize:  # rng.sample needs len(range(total))
-        raise SizeTooLargeError(f"cannot sample from {total} matrices; the limit is {sys.maxsize}")
-    return IndexSubset(ctx, n, rng.sample(range(total), size))
+    _require_sample(size, ctx.p, ctx.k, n)
+    return IndexSubset(ctx, n, rng.sample(range(matrix_count(ctx, n)), size))
+
+
+def _require_sample(size: int, p: int, k: int, n: int) -> None:
+    """The checks of drawing ``size`` distinct n x n matrices over F_{p^k},
+    decided from bit lengths first, so they need no field and no large q^(n^2)."""
+    e = k * n * n  # the matrices number p^e
+    if not _over_cap(p, e, size - 1):
+        raise ValueError(f"cannot sample {size} distinct matrices from {p**e}")
+    if _over_cap(p, e, sys.maxsize):  # rng.sample needs len(range(p^e))
+        raise SizeTooLargeError(
+            f"cannot sample from {_power(p, e)} matrices; the limit is {sys.maxsize}"
+        )

@@ -28,10 +28,9 @@ from typing import IO, Iterator, Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
-from .fields import FieldContext, _over_cap, _power
+from .fields import FieldContext, _all_digits, _over_cap, _power
 from .matrices import (
-    Matrix, _det_flat, _eliminate, _iter_flats, gl_order, matrix_count, matrix_from_index,
-    matrix_to_index,
+    Matrix, _det_flat, _eliminate, gl_order, matrix_count, matrix_from_index, matrix_to_index,
 )
 from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
@@ -90,7 +89,7 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
             f"graph on {_power(ctx.q, n * n)} vertices exceeds the cap {max_order}"
         )
     order = matrix_count(ctx, n)
-    dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in _iter_flats(ctx, n))
+    dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in _all_digits(ctx.q, n * n))
     graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)))
 
     if not is_simple(graph):
@@ -208,7 +207,7 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
     ctx, n = graph.ctx, graph.n
     by_rank: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for flat in _iter_flats(ctx, n):
+    for flat in _all_digits(ctx.q, n * n):
         label = Matrix(ctx, n, flat)
         lam = verify_eigenvector(graph, label)
         r = _eliminate(ctx, n, flat)[0]

@@ -11,7 +11,8 @@ has entry ``digit_pos(t)`` at row-major position ``pos = i*n + j``, where
 other words the (0,0) entry varies fastest, mirroring the field's own
 constant-term-fastest element order.  The index <-> matrix maps are
 exposed and invertible, so stored vertex/subset indices are reproducible
-bit-for-bit across runs.
+bit-for-bit across runs; they and the enumeration use the digit codec of
+``fields``.
 
 Exhaustive work reads one cached table per (field, n), a rank byte per
 enumeration index: the rank census is its histogram and GL_n(F_q) is the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import ContextMismatchError, SizeTooLargeError
-from .fields import FieldContext, FieldElement, _over_cap, _power
+from .fields import FieldContext, FieldElement, _all_digits, _digits, _number, _over_cap, _power
 
 # Streams larger than this refuse to start rather than run for hours;
 # override per call where the caller knows better.  2^24 covers 5^9 =
@@ -59,20 +60,9 @@ class Matrix:
     def from_rows(cls, ctx: FieldContext, rows: Sequence[Sequence[EntryLike]]) -> "Matrix":
         """Build from nested sequences of field elements or element indices."""
         n = len(rows)
-        flat = []
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix rows must all have length n")
-            for e in row:
-                if isinstance(e, FieldElement):
-                    if e.ctx != ctx:
-                        raise ContextMismatchError(
-                            f"entry from {e.ctx!r} does not belong to {ctx!r}"
-                        )
-                    flat.append(e.index)
-                else:
-                    flat.append(ctx.element(e).index)
-        return cls(ctx, n, tuple(flat))
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix rows must all have length n")
+        return cls(ctx, n, tuple(ctx.element(e).index for row in rows for e in row))
 
     @classmethod
     def zero(cls, ctx: FieldContext, n: int) -> "Matrix":
@@ -80,10 +70,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ctx: FieldContext, n: int) -> "Matrix":
-        flat = [0] * (n * n)
-        for i in range(n):
-            flat[i * n + i] = 1
-        return cls(ctx, n, tuple(flat))
+        return rank_representative(ctx, n, n)
 
     # -- views -------------------------------------------------------------------
 
@@ -92,22 +79,11 @@ class Matrix:
 
     @property
     def rows(self) -> tuple[tuple[FieldElement, ...], ...]:
-        n = self.n
-        return tuple(
-            tuple(FieldElement(self.ctx, self.flat[i * n + j]) for j in range(n))
-            for i in range(n)
-        )
+        return tuple(tuple(self.entry(i, j) for j in range(self.n)) for i in range(self.n))
 
     def to_json_dict(self) -> dict:
-        n = self.n
-        decode = self.ctx._decode
-        return {
-            "q": self.ctx.q,
-            "n": n,
-            "entries": [
-                [list(decode(self.flat[i * n + j])) for j in range(n)] for i in range(n)
-            ],
-        }
+        entries = [[list(e.coeffs) for e in row] for row in self.rows]
+        return {"q": self.ctx.q, "n": self.n, "entries": entries}
 
     # -- ring operations -----------------------------------------------------------
 
@@ -255,35 +231,11 @@ def matrix_from_index(ctx: FieldContext, n: int, index: int) -> Matrix:
     total = matrix_count(ctx, n)
     if not 0 <= index < total:
         raise ValueError(f"matrix index {index} out of range [0, {total})")
-    return Matrix(ctx, n, _index_digits(ctx.q, n, index))
-
-
-def _index_digits(q: int, n: int, index: int) -> tuple[int, ...]:
-    """The flat entry tuple of the matrix with this enumeration index."""
-    flat = []
-    for _ in range(n * n):
-        index, digit = divmod(index, q)
-        flat.append(digit)
-    return tuple(flat)
+    return Matrix(ctx, n, _digits(index, ctx.q, n * n))
 
 
 def matrix_to_index(m: Matrix) -> int:
-    index = 0
-    q = m.ctx.q
-    for digit in reversed(m.flat):
-        index = index * q + digit
-    return index
-
-
-def _iter_flats(ctx: FieldContext, n: int) -> Iterator[tuple[int, ...]]:
-    """All flat entry tuples in enumeration-index order.
-
-    itertools.product counts big-endian, so reversing each tuple makes
-    position 0 the fastest-varying digit, i.e. tuple t of this stream is
-    the matrix with enumeration index t.
-    """
-    for rev in itertools.product(range(ctx.q), repeat=n * n):
-        yield rev[::-1]
+    return _number(m.flat, m.ctx.q)
 
 
 def enumerate_matrices(
@@ -291,7 +243,7 @@ def enumerate_matrices(
 ) -> Iterator[Matrix]:
     """All q^(n^2) matrices, exactly once, in enumeration-index order."""
     _require_under_cap(ctx, n, cap)
-    for flat in _iter_flats(ctx, n):
+    for flat in _all_digits(ctx.q, n * n):
         yield Matrix(ctx, n, flat)
 
 
@@ -301,7 +253,7 @@ def enumerate_invertible(
     """The subsequence of ``enumerate_matrices`` with nonzero determinant."""
     _require_under_cap(ctx, n, cap)
     mask = _rank_table(ctx, n).translate(bytes(r == n for r in range(256)))
-    for flat in itertools.compress(_iter_flats(ctx, n), mask):
+    for flat in itertools.compress(_all_digits(ctx.q, n * n), mask):
         yield Matrix(ctx, n, flat)
 
 
@@ -309,18 +261,17 @@ def enumerate_invertible(
 def _rank_table(ctx: FieldContext, n: int) -> bytes:
     """The rank of every matrix: byte ``t`` is the rank of matrix ``t``.
 
-    Rows n-1..1 are chosen first, most significant first, and their span
-    is carried as a frozenset of row indices (a row's index is its own n
-    digits of the matrix index).  Row 0 is the least significant digit
-    block, so the q^n completions of one choice are contiguous: rank(span)
-    inside the span, one more outside.
+    Rows 1..n-1 are chosen first, as the base-q^n digits of t // q^n in
+    index order, and their span is carried as a frozenset of row indices
+    (a row's index is its own n digits of the matrix index).  Row 0 is the
+    least significant digit block, so the q^n completions of one choice
+    are contiguous: rank(span) inside the span, one more outside.
 
     Callers check their own enumeration cap first; the table is uncapped.
     """
     q, size = ctx.q, ctx.q**n
     add, mul = ctx._add, ctx._mul
-    vectors = [rev[::-1] for rev in itertools.product(range(q), repeat=n)]
-    index = {v: u for u, v in enumerate(vectors)}
+    vectors = list(_all_digits(q, n))
     spans: dict[frozenset, frozenset] = {}  # one object per distinct subspace
 
     @functools.cache
@@ -328,7 +279,7 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
         if u in span:
             return span
         new = frozenset(
-            index[tuple(add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u]))]
+            _number([add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u])], q)
             for s in span
             for c in range(q)
         )
@@ -342,7 +293,7 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
     zero = frozenset([0])
     return b"".join(
         complete(functools.reduce(extend, rows, zero))
-        for rows in itertools.product(range(size), repeat=n - 1)
+        for rows in _all_digits(size, n - 1)
     )
 
 

@@ -378,6 +378,23 @@ def test_failed_export_write_is_one_line(capsys):
     assert err == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv", [["spectrum", "--q", "2"], ["export-graph", "--q", "2", "--n", "2"]]
+)
+def test_a_full_stdout_is_one_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "unitgraph.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+            timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 def test_export_to_a_closed_stdout_ends_without_a_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "unitgraph.cli", "export-graph", "--q", "2", "--n", "3"],
@@ -540,6 +557,10 @@ def test_size_cap_is_checked_before_field_tables(capsys, monkeypatch, argv):
         (["--random-size", "5", "--trials", "0"], "--trials must be >= 1"),
         (["--random-size", "0"], "--random-size must be >= 1"),
         (["--random-size", "-3", "--trials", "0"], "--random-size must be >= 1"),
+        (
+            ["--random-size", str(1021**9 + 1)],
+            f"cannot sample {1021**9 + 1} distinct matrices from {1021**9}",
+        ),
     ],
 )
 def test_gap_options_are_checked_before_field_tables(capsys, monkeypatch, extra, message):
@@ -553,6 +574,41 @@ def test_gap_options_are_checked_before_field_tables(capsys, monkeypatch, extra,
     code, out, err = run(capsys, "gap", "--p", "1021", *extra)
     assert code == 2
     assert out == "" and err == f"error: {message}\n"
+
+
+def test_gap_sampler_limit_is_checked_before_field_tables(capsys, monkeypatch):
+    from unitgraph import fields
+
+    def no_tables(self):
+        raise AssertionError("field tables built for a sample past the sampler's limit")
+
+    monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
+    monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
+    code, out, err = run(capsys, "gap", "--p", "1021", "--random-size", "5")
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1 and "cannot sample from" in err
+
+
+@pytest.mark.parametrize(
+    "argv, q",
+    [
+        (["--q", "1000000000000000003"], 10**18 + 3),
+        (["--p", "1000000000000000003"], 10**18 + 3),
+        (["--q", "1000000000078000000001521"], (10**12 + 39) ** 2),
+    ],
+)
+def test_spectrum_of_a_large_field_needs_only_p_and_k(capsys, argv, q):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spectrum", *argv, "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == ""
+    assert json.loads(out)["q"] == q
+
+
+def test_primality_past_the_exact_bound_is_a_size_cap(capsys):
+    code, out, err = run(capsys, "spectrum", "--q", "3317044064679887385961987")
+    assert code == 3 and out == ""
+    assert err == "error: primality past 3317044064679887385961981 is not decided exactly\n"
 
 
 @pytest.mark.parametrize("q", ["2", "6"])  # at q = 6 the field would be the error

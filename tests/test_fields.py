@@ -21,7 +21,10 @@ from unitgraph import fields
 from unitgraph.fields import (
     FieldContext,
     _check_irreducible,
+    _all_digits,
     _checked_modulus,
+    _digits,
+    _number,
     _poly_divmod,
     field_modulus,
     is_prime,
@@ -171,6 +174,24 @@ def test_enumeration_order():
     assert [e.coeffs for e in field(2, 2).elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_division_is_multiplication_by_the_inverse(q):
+    ctx = field_of_order(q)
+    for a in ctx.elements():
+        for b in itertools.islice(ctx.elements(), 1, None):
+            assert a / b == a * b.inverse()
+        with pytest.raises(ZeroDivisionError):
+            a / ctx.zero()
+
+
+@pytest.mark.parametrize("base", range(2, 10))
+def test_digit_codec_round_trips(base):
+    for count in range(5):
+        digits = [_digits(t, base, count) for t in range(base**count)]
+        assert [_number(d, base) for d in digits] == list(range(base**count))
+        assert list(_all_digits(base, count)) == digits
+
+
 def test_context_mismatch():
     a = field(2).one()
     b = field(3).one()
@@ -188,6 +209,10 @@ def test_element_constructors_and_repr():
         f9.element([1])  # wrong coefficient count
     with pytest.raises(ValueError):
         f9.element(9)  # index out of range
+    assert f9.element(e) is e
+    assert f9.element([5, 4]) == e  # coefficients are reduced mod p
+    with pytest.raises(ContextMismatchError, match=r"^element of GF\(2\) is not in GF\(3\^2\)$"):
+        f9.element(field(2).one())
     assert poly_str((2, 1)) == "x+2"
     assert poly_str((0, 0)) == "0"
     assert "GF(3^2)" in repr(e)
@@ -260,6 +285,20 @@ def test_prime_power():
     assert prime_power(97) == (97, 1)
     assert prime_power(12) is None
     assert prime_power(1) is None
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n) and prime_power(n) is None
+    start = time.perf_counter()
+    assert prime_power(10**18 + 3) == (10**18 + 3, 1)
+    assert prime_power((10**12 + 39) ** 2) == (10**12 + 39, 2)
+    assert prime_power((10**12 + 39) ** 3) == (10**12 + 39, 3)
+    assert prime_power(3**4000) == (3, 4000)
+    assert time.perf_counter() - start < 1
+    # past the exact bound: a factor up to 41 still decides, nothing else does
+    past = 3317044064679887385961981
+    assert not is_prime(past + 1) and prime_power(past + 1) is None
+    with pytest.raises(SizeTooLargeError, match="not decided exactly"):
+        is_prime(past + 6)
 
 
 def test_is_prime_and_prime_power_match_a_sieve():
@@ -289,11 +328,11 @@ def polynomial_tables(ctx):
     """Reference build: one polynomial product per table entry, inverses by
     a row scan and each Frobenius step as p-fold multiplication."""
     p, k, q = ctx.p, ctx.k, ctx.q
-    decode = [ctx._decode(i) for i in range(q)]
+    decode = [_digits(i, p, k) for i in range(q)]
     add = tuple(
-        tuple(ctx._encode([(x + y) % p for x, y in zip(a, b)]) for b in decode) for a in decode
+        tuple(_number([(x + y) % p for x, y in zip(a, b)], p) for b in decode) for a in decode
     )
-    neg = tuple(ctx._encode([-x % p for x in a]) for a in decode)
+    neg = tuple(_number([-x % p for x in a], p) for a in decode)
 
     def mul_poly(a, b):
         prod = [0] * (2 * k - 1)
@@ -302,7 +341,7 @@ def polynomial_tables(ctx):
                 for j, y in enumerate(b):
                     prod[i + j] = (prod[i + j] + x * y) % p
         _, rem = _poly_divmod(prod, ctx.modulus, p)
-        return ctx._encode(rem + [0] * (k - len(rem)))
+        return _number(rem + [0] * (k - len(rem)), p)
 
     mul = tuple(tuple(mul_poly(a, b) for b in decode) for a in decode)
     inv = (None,) + tuple(row.index(1) for row in mul[1:])

@@ -257,6 +257,21 @@ def test_index_file_parsing():
             indices_from_index_file(F2, 3, ["0", bad])
 
 
+def test_from_rows_rows_and_identity_agree_with_entries_and_ranks():
+    for ctx in (F2, F3, F4, field(3, 2)):
+        rng = random.Random(ctx.q)
+        for n in (1, 2, 3):
+            idx = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)]
+            m = Matrix.from_rows(ctx, idx)
+            assert Matrix.from_rows(ctx, [[ctx.element(e) for e in row] for row in idx]) == m
+            assert m.rows == tuple(tuple(m.entry(i, j) for j in range(n)) for i in range(n))
+            assert [[e.index for e in row] for row in m.rows] == idx
+        for n in range(1, 5):
+            assert Matrix.identity(ctx, n) == rank_representative(ctx, n, n)
+    with pytest.raises(ContextMismatchError, match=r"^element of GF\(3\) is not in GF\(2\)$"):
+        Matrix.from_rows(F2, [[F3.one()]])
+
+
 def test_json_shape():
     m = rank_representative(F4, 2, 1)
     d = m.to_json_dict()
