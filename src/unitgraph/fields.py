@@ -96,19 +96,27 @@ def is_prime(n: int) -> bool:
 def prime_power(q: int) -> Optional[tuple[int, int]]:
     """Decompose q as p^k with p prime, or return None.
 
-    The decomposition is unique, so only the largest k with q a perfect
-    k-th power can give it, and its root decides.  The root is found by
-    Newton steps, which descend to floor(q^(1/k)) from a start above it.
+    Write q = m^k with m no perfect power; q is a prime power exactly when
+    m is prime.  A perfect j-th power is a perfect power at every prime
+    factor of j, so roots are taken only at prime exponents, in increasing
+    order: an exact root replaces q and multiplies k, and the same exponent
+    is tried again on it (a root of q that is an i-th power makes q an i-th
+    power, so a smaller prime i need not be).  Each root is found by Newton
+    steps, which descend to floor(q^(1/j)) from a start above it.
     """
     if q < 2:
         return None
-    for k in range(q.bit_length(), 0, -1):
-        e = math.log2(q) / k  # its float error is far below the start's margin
+    k, j = 1, 2
+    while j <= q.bit_length():
+        e = math.log2(q) / j  # its float error is far below the start's margin
         r = int(2**e * 1.000001) + 1 if e < 1000 else 1 << math.ceil(e) + 1
-        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+        while (s := ((j - 1) * r + q // r ** (j - 1)) // j) < r:
             r = s
-        if r**k == q:
-            return (r, k) if is_prime(r) else None
+        if r**j == q:
+            q, k = r, k * j
+        else:
+            j = next(i for i in itertools.count(j + 1) if is_prime(i))
+    return (q, k) if is_prime(q) else None
 
 
 # ---------------------------------------------------------------------------

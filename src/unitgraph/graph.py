@@ -18,11 +18,15 @@ A row/eigenvector product reduces to p popcounts: bucket the vertices by
 character exponent once per label, then count neighbors per bucket with
 bitwise AND.  The counts are compared with the eigenvalue as integers,
 which is exact: sum_e counts[e] zeta_p^e determines counts up to adding a
-constant to every entry.
+constant to every entry.  On a regular graph that makes every bucket but
+the last one column comparison over all vertices, and labels whose
+buckets and eigenvalue match an earlier passed check (the F_p-multiples
+of a label) reuse it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
@@ -36,10 +40,10 @@ from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
 
 # 4096 vertices covers every configuration the verified paths need.  The
-# eigenvector checks cost labels x p x rows popcounts, so they refuse
-# p > 256, where exponents no longer fit a byte: at q = 4093, n = 1 they
-# would take about 10 hours.  Larger graphs are opt-in via the override;
-# the simplicity scan holds N^2 bytes (4 GiB at 65536 vertices).
+# eigenvector checks cost up to p - 1 popcount columns over all rows per
+# label and read the exponents as bytes, so they refuse p > 256.  Larger
+# graphs are opt-in via the override; the simplicity scan holds N^2 bytes
+# (4 GiB at 65536 vertices).
 DEFAULT_MAX_ORDER = 4096
 
 
@@ -59,6 +63,17 @@ class CayleyGraph:
     @property
     def degree(self) -> int:
         return self.rows[0].bit_count() if self.rows else 0
+
+    @functools.cached_property
+    def _regular(self) -> bool:
+        """Every row has ``degree`` bits."""
+        return all(row.bit_count() == self.degree for row in self.rows)
+
+    @functools.cached_property
+    def _passed(self) -> set[tuple[frozenset[int], int]]:
+        """(partition into exponent buckets, lambda) pairs that passed
+        ``verify_eigenvector`` on this graph."""
+        return set()
 
     def vertex(self, i: int) -> Matrix:
         return matrix_from_index(self.ctx, self.n, i)
@@ -89,7 +104,7 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
             f"graph on {_power(ctx.q, n * n)} vertices exceeds the cap {max_order}"
         )
     order = matrix_count(ctx, n)
-    dets = bytes(b"01"[_det_flat(ctx, n, flat) != 0] for flat in _all_digits(ctx.q, n * n))
+    dets = bytes(_det_flat(ctx, n, flat) != 0 for flat in _all_digits(ctx.q, n * n))
     graph = CayleyGraph(ctx, n, _translated_rows(ctx.p, order, _bitset(dets)))
 
     if not is_simple(graph):
@@ -104,8 +119,11 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
 
 
 def _bitset(indicator: bytes) -> int:
-    """The int whose bit t is set iff byte t of an ASCII 0/1 string is "1"."""
-    return int(indicator[::-1], 2)
+    """The int whose bit t is set iff byte t of a string of 0/1 bytes is 1."""
+    return int(indicator[::-1].translate(_ASCII_DIGITS), 2)
+
+
+_ASCII_DIGITS = b"01".ljust(256, b"?")  # bytes 0 and 1 to "0" and "1"
 
 
 def _translated_rows(p: int, order: int, bitmap: int) -> tuple[int, ...]:
@@ -149,12 +167,19 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     independent character sum over the invertible matrices.  The vertices
     are bucketed by exponent into p bit sets, and coordinate v of A v is
     sum_e counts[e] zeta_p^e, where counts[e] is the popcount of row v
-    against bucket e.  Each coordinate is compared with lambda zeta_p^e_v
-    on these integer counts.  Returns lambda on success.
+    against bucket e.  On a regular graph of degree d that equals
+    lambda zeta_p^e_v exactly when every count is c = (d - lambda) / p but
+    counts[e_v] = c + lambda, so the check is p - 1 whole columns, each
+    compared with its expected column by one list ``==`` (the last column
+    is d minus the others).  Otherwise the coordinate loop decides, and
+    names the first failing vertex.  A passed check depends only on lambda
+    and the partition into buckets, which the F_p-multiples of a label
+    share, so the graph keeps the passed pairs: a label that computes its
+    own partition and lambda equal to one skips the popcounts.  Returns
+    lambda on success.
 
     Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
-    fit a byte and the labels x p x rows popcounts of a whole graph run
-    for hours.
+    fit a byte.
     """
     ctx, n = graph.ctx, graph.n
     if label.ctx != ctx or label.n != n:
@@ -166,22 +191,31 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
         )
     exps = _exponents(ctx, n, label.flat, n * n)
     digits = bytes(range(p))
-    buckets = [
-        _bitset(exps.translate(bytes.maketrans(digits, b"0" * e + b"1" + b"0" * (p - 1 - e))))
-        for e in range(p)
-    ]
-    columns = [list(map(int.bit_count, map(bucket.__and__, graph.rows))) for bucket in buckets]
-
+    marks = [bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p)]
+    buckets = [_bitset(exps.translate(mark)) for mark in marks]
     lam = eigenvalue_charsum(label)
-    for v, (counts, e) in enumerate(zip(zip(*columns), exps)):
-        if not _coordinate_holds(counts, lam, e):
-            lhs = Cyclotomic.from_exponent_counts(p, counts)
-            rhs = Cyclotomic.root(p, e) * lam
-            raise EigenvectorMismatchError(
-                f"A v != lambda v at vertex {v} for label index "
-                f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
-                coordinate=v,
-            )
+    key = (frozenset(buckets), lam)
+    if key in graph._passed:
+        return lam
+
+    c, r = divmod(graph.degree - lam, p)
+    columns_hold = r == 0 and graph._regular and all(
+        list(map(int.bit_count, map(bucket.__and__, graph.rows)))
+        == list(map((c, c + lam).__getitem__, exps.translate(mark)))
+        for bucket, mark in zip(buckets[:-1], marks)
+    )
+    if not columns_hold:  # decide coordinate by coordinate, and name the first failure
+        columns = [list(map(int.bit_count, map(bucket.__and__, graph.rows))) for bucket in buckets]
+        for v, (counts, e) in enumerate(zip(zip(*columns), exps)):
+            if not _coordinate_holds(counts, lam, e):
+                lhs = Cyclotomic.from_exponent_counts(p, counts)
+                rhs = Cyclotomic.root(p, e) * lam
+                raise EigenvectorMismatchError(
+                    f"A v != lambda v at vertex {v} for label index "
+                    f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
+                    coordinate=v,
+                )
+    graph._passed.add(key)
     return lam
 
 

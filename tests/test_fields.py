@@ -318,6 +318,27 @@ def test_is_prime_and_prime_power_match_a_sieve():
         assert prime_power(n) == powers.get(n), n
 
 
+def _prime_power_every_k(q):
+    """Reference: the exact integer k-th root of q for every k, largest first."""
+    for k in range(q.bit_length(), 0, -1):
+        lo, hi = 1, 1 << q.bit_length() // k + 1  # largest r with r^k <= q, by bisection
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**k <= q else (lo, mid)
+        if lo**k == q:
+            return (lo, k) if is_prime(lo) else None
+    return None
+
+
+def test_prime_power_matches_roots_at_every_exponent():
+    composite_powers = [
+        3**40, 6**12, 2**60, 7**21, 10**30, 2**210, 12**35, 5**77, (10**6 + 3) ** 6,
+        (2**31 - 1) ** 15, 30**30 + 1, 2**64 - 1,
+    ]
+    for q in itertools.chain(range(-2, 20000), composite_powers):
+        assert prime_power(q) == _prime_power_every_k(q), q
+
+
 def test_field_of_order():
     assert field_of_order(9).q == 9
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from unitgraph import (
     Matrix,
     SizeTooLargeError,
     build_graph,
+    char_exponents,
     eigenvalue_charsum,
     enumerate_matrices,
     field,
@@ -277,3 +278,100 @@ def test_verify_eigenvector_past_byte_exponents():
     for a in (0, 1, 256):
         with pytest.raises(SizeTooLargeError, match="byte-exponent limit p <= 256"):
             verify_eigenvector(g, Matrix(ctx, 1, (a,)))
+
+
+def flipped_graph(graph, a, b):
+    """A graph over the same rows with the symmetric pair (a, b) flipped:
+    simple, but vertices a and b are off the degree by one."""
+    rows = list(graph.rows)
+    rows[a] ^= 1 << b
+    rows[b] ^= 1 << a
+    return CayleyGraph(graph.ctx, graph.n, tuple(rows))
+
+
+def swapped_graph(graph, a, c):
+    """Edges (a, b), (c, d) swapped for (a, d), (c, b): simple and regular,
+    but no longer translation invariant."""
+    order = range(graph.order)
+    b = next(j for j in order if graph.has_edge(a, j) and not graph.has_edge(c, j) and j != c)
+    d = next(j for j in order if graph.has_edge(c, j) and not graph.has_edge(a, j) and j != a)
+    g = flipped_graph(flipped_graph(graph, a, b), c, d)
+    return flipped_graph(flipped_graph(g, a, d), c, b)
+
+
+def coordinate_oracle(graph, label):
+    """(lambda, None) if A v = lambda v, else (the failing vertex, its message
+    tail), from the p popcount columns checked one coordinate at a time."""
+    p = graph.ctx.p
+    exps = char_exponents(label)
+    lam = eigenvalue_charsum(label)
+    buckets = [sum(1 << v for v, x in enumerate(exps) if x == e) for e in range(p)]
+    for v, (row, e) in enumerate(zip(graph.rows, exps)):
+        counts = [(row & bucket).bit_count() for bucket in buckets]
+        if not _coordinate_holds(counts, lam, e):
+            lhs, rhs = Cyclotomic.from_exponent_counts(p, counts), Cyclotomic.root(p, e) * lam
+            return v, f"for label index {matrix_to_index(label)}: {lhs!r} vs {rhs!r}"
+    return lam, None
+
+
+def verified(graph, label):
+    try:
+        return verify_eigenvector(graph, label), None
+    except EigenvectorMismatchError as exc:
+        return exc.coordinate, str(exc).split(f"at vertex {exc.coordinate} ", 1)[1]
+
+
+@pytest.mark.parametrize("q,n,tamper", [
+    (2, 2, None), (3, 2, None), (4, 2, None), (5, 2, None), (2, 3, None),
+    # a and c not 0 and 1, so that a check that skipped one more column
+    # would pass some labels the oracle fails, at p = 2 and at p = 5
+    (4, 2, lambda g: swapped_graph(g, 3, 17)), (5, 2, lambda g: swapped_graph(g, 3, 17)),
+    (3, 2, lambda g: flipped_graph(g, 4, 40)),
+])
+def test_verify_eigenvector_matches_the_coordinate_oracle(q, n, tamper):
+    # every label in order on one graph object, so F_p-multiples meet the
+    # passed checks of the labels before them
+    graph = build_graph(field_of_order(q), n)
+    if tamper:
+        graph = tamper(graph)
+    results = [
+        (verified(graph, label), coordinate_oracle(graph, label))
+        for label in enumerate_matrices(graph.ctx, n)
+    ]
+    assert all(got == expected for got, expected in results)
+    failures = sum(expected[1] is not None for _, expected in results)
+    assert (failures > 0) == (tamper is not None)
+
+
+def test_reused_check_does_not_hide_a_wrong_eigenvalue(monkeypatch):
+    from unitgraph import graph as graph_mod
+
+    F5 = field(5)
+    g = build_graph(F5, 2)
+    label = rank_representative(F5, 2, 1)
+    double = Matrix(F5, 2, tuple(2 * a % 5 for a in label.flat))
+    lam = verify_eigenvector(g, label)
+    charsum = graph_mod.eigenvalue_charsum
+    monkeypatch.setattr(
+        graph_mod, "eigenvalue_charsum", lambda m: charsum(m) + 5 * (m.flat == double.flat)
+    )
+    assert verify_eigenvector(g, label) == lam
+    with pytest.raises(EigenvectorMismatchError, match=f"label index {matrix_to_index(double)}:"):
+        verify_eigenvector(g, double)
+    monkeypatch.undo()
+    assert verify_eigenvector(g, double) == lam
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (2, 3)])
+def test_flipped_edge_fails_after_the_intact_graph_passed(q, n):
+    g = build_graph(field_of_order(q), n)
+    a, b = 7, g.order - 3
+    flipped = flipped_graph(g, a, b)
+    for label in (Matrix.zero(g.ctx, n), rank_representative(g.ctx, n, 1)):
+        verify_eigenvector(g, label)
+        with pytest.raises(EigenvectorMismatchError) as err:
+            verify_eigenvector(flipped, label)
+        assert err.value.coordinate in (a, b)
+    with pytest.raises(EigenvectorMismatchError) as err:
+        spectrum_from_graph(flipped)
+    assert err.value.coordinate == a
