@@ -22,6 +22,14 @@ constant to every entry.  On a regular graph that makes every bucket but
 the last one column comparison over all vertices, and labels whose
 buckets and eigenvalue match an earlier passed check (the F_p-multiples
 of a label) reuse it.
+
+At p = 2 a vertex index is an F_2-vector, matrix addition is XOR and
+every character is a Walsh function (-1)^(u . v), so coordinate v of
+A chi_u = mu_u chi_u, for every u at once, is the Walsh-Hadamard
+transform of row v.  One packed transform per row checks all N
+eigen-equations, and a label whose eigenvalue equals its checked mu_u
+passes without popcounts; any other label, and every label of a graph
+with a row that misses, takes the popcount route above.
 """
 
 from __future__ import annotations
@@ -72,8 +80,34 @@ class CayleyGraph:
     @functools.cached_property
     def _passed(self) -> set[tuple[frozenset[int], int]]:
         """(partition into exponent buckets, lambda) pairs that passed
-        ``verify_eigenvector`` on this graph."""
+        ``verify_eigenvector`` on this graph at odd p."""
         return set()
+
+    @functools.cached_property
+    def _walsh(self) -> tuple[int, ...] | None:
+        """At p = 2, entry u is mu_u with A chi_u = mu_u chi_u for the Walsh
+        function chi_u(v) = (-1)^(u . v), checked at every coordinate, or
+        None if some row misses.
+
+        Coordinate v of A chi_u, for every u at once, is the transform of
+        row v, so row v must transform to row 0's transform (the mu_u)
+        with the signs flipped where u . v is odd.  Rows are visited in
+        Gray-code order, so the sign mask changes by one XOR per row.
+        """
+        order, width = self.order, _walsh_width(self.order)
+        first = _walsh_hadamard(self.rows[0], order)
+        ones = int.from_bytes((bytes(width - 1) + b"\1") * order, "big")
+        flip = first ^ (2 * order * ones - first)  # fields N + mu_u xor N - mu_u
+        bit_set = [  # all bytes of the fields u with bit h set
+            _low_fields(order, width, h) * (256**width - 1) << (8 * width << h)
+            for h in range(order.bit_length() - 1)
+        ]
+        signs = 0  # the fields u with u . v odd
+        for g in range(1, order):
+            signs ^= bit_set[(g & -g).bit_length() - 1]  # bit h of v flips
+            if _walsh_hadamard(self.rows[g ^ (g >> 1)], order) != first ^ (flip & signs):
+                return None
+        return tuple(_walsh_values(first, order))
 
     def vertex(self, i: int) -> Matrix:
         return matrix_from_index(self.ctx, self.n, i)
@@ -160,6 +194,66 @@ def is_simple(graph: CayleyGraph) -> bool:
     return b"1" not in m[:: n + 1] and all(m[i * n:(i + 1) * n] == m[i::n] for i in range(n))
 
 
+def _walsh_hadamard(bits: int, order: int) -> int:
+    """Walsh-Hadamard transform of bits 0..order-1 of ``bits`` (order = 2^m),
+    packed: field u, ``_walsh_width(order)`` bytes wide, holds
+    order + sum_v bit_v (-1)^(u . v).
+
+    The bits are spread into one-byte fields biased to be positive, 1 for
+    a 0 bit and 2 for a 1 bit (bias B = 1).  Stage h pairs the fields u
+    and u + 2^h, which hold a + B and b + B, and writes a + b + 2B and
+    a - b + 2B: the bias doubles and no field goes below 0.  After stage
+    h a field is at most 2^(h+2), so a field gets one byte more before
+    the stages h = 6, 14, 22, ... that could pass its width; the last
+    width is ``_walsh_width``.
+    """
+    digits = f"{bits & ((1 << order) - 1):0{order}b}".encode()  # bit order-1 first
+    packed, width = int.from_bytes(digits.translate(_BIASED), "big"), 1
+    for wide, shift, mask, bias in _walsh_stages(order):
+        if wide > width:  # every field gets a high zero byte
+            data, spread = packed.to_bytes(order * width, "big"), bytearray(order * wide)
+            for k in range(width):
+                spread[k + 1::wide] = data[k::width]
+            packed, width = int.from_bytes(spread, "big"), wide
+        lo, hi = packed & mask, (packed >> shift) & mask
+        packed = (lo + hi) | ((lo + bias - hi) << shift)
+    return packed
+
+
+_BIASED = bytes.maketrans(b"01", b"\1\2")
+
+
+def _walsh_width(order: int) -> int:
+    """Bytes per field of a transform: its fields stay below 2^(m+2)."""
+    return (order.bit_length() + 8) // 8  # (m + 9) // 8 with order = 2^m
+
+
+@functools.lru_cache(maxsize=None)
+def _walsh_stages(order: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Per stage h: the field width in bytes, the shift to field u + 2^h,
+    the mask of the fields u with bit h clear, and 2^(h+1) in each of
+    those fields (twice the stage's bias)."""
+    stages = []
+    for h in range(order.bit_length() - 1):
+        width = (h + 10) // 8  # fields stay at most 2^(h+2)
+        ones = _low_fields(order, width, h)
+        stages.append((width, 8 * width << h, ones * (256**width - 1), ones << (h + 1)))
+    return tuple(stages)
+
+
+def _low_fields(order: int, width: int, h: int) -> int:
+    """1 in every ``width``-byte field u with bit h of u clear."""
+    one = bytes(width - 1) + b"\1"
+    return int.from_bytes((bytes(width << h) + one * (1 << h)) * (order >> (h + 1)), "big")
+
+
+def _walsh_values(packed: int, order: int) -> list[int]:
+    """The transform values of a packed ``_walsh_hadamard`` result."""
+    width = _walsh_width(order)
+    data = packed.to_bytes(order * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") - order for i in range(0, len(data), width)]
+
+
 def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     """Check A v = lambda v exactly for the label's character vector.
 
@@ -175,8 +269,12 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     names the first failing vertex.  A passed check depends only on lambda
     and the partition into buckets, which the F_p-multiples of a label
     share, so the graph keeps the passed pairs: a label that computes its
-    own partition and lambda equal to one skips the popcounts.  Returns
-    lambda on success.
+    own partition and lambda equal to one skips the popcounts (at odd p
+    only: at p = 2 no other label shares a partition).  At p = 2 a label
+    whose exponents are the Walsh function of u and whose lambda equals
+    the graph's transform-checked mu_u passes without popcounts; a graph
+    with a row that misses, or a lambda that differs, takes the columns
+    and the coordinate loop.  Returns lambda on success.
 
     Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
     fit a byte.
@@ -190,10 +288,12 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
             f"eigenvector checks at p = {p} are past the byte-exponent limit p <= {_BYTE_MAX_P}"
         )
     exps = _exponents(ctx, n, label.flat, n * n)
+    lam = eigenvalue_charsum(label)
+    if p == 2 and _walsh_holds(graph, exps, lam):
+        return lam
     digits = bytes(range(p))
     marks = [bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p)]
     buckets = [_bitset(exps.translate(mark)) for mark in marks]
-    lam = eigenvalue_charsum(label)
     key = (frozenset(buckets), lam)
     if key in graph._passed:
         return lam
@@ -215,8 +315,22 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
                     f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
                     coordinate=v,
                 )
-    graph._passed.add(key)
+    if p > 2:  # at p = 2 no other label has this partition
+        graph._passed.add(key)
     return lam
+
+
+def _walsh_holds(graph: CayleyGraph, exps: bytes, lam: int) -> bool:
+    """At p = 2: the exponents are the Walsh function of some u, bit b of u
+    being the exponent at vertex 2^b, and the graph's checked mu_u is lam."""
+    u, walsh = 0, b"\0"
+    for b in range(graph.order.bit_length() - 1):
+        u |= exps[1 << b] << b
+        walsh += walsh.translate(_FLIP) if exps[1 << b] else walsh
+    return walsh == exps and graph._walsh is not None and graph._walsh[u] == lam
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
 
 def _coordinate_holds(counts: Sequence[int], lam: int, e: int) -> bool:

@@ -214,7 +214,7 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     table = _rank_table(ctx, n)
     if not any(label.flat):
         return table.count(n)
-    is_gl = bytes(r == n for r in range(256))
+    is_gl = bytes(n) + b"\1" + bytes(255 - n)  # rank n -> 1, every other rank -> 0
     counts = [0] * ctx.p
     if ctx.p > _BYTE_MAX_P:  # exponents wider than a byte: count them one by one
         for e in itertools.compress(_exponents(ctx, n, label.flat, n * n), table.translate(is_gl)):

@@ -23,11 +23,15 @@ from unitgraph import (
     is_simple,
     matrix_to_index,
     rank_representative,
+    spectrum_brute_force,
     spectrum_closed_form,
     spectrum_from_graph,
     verify_eigenvector,
 )
-from unitgraph.graph import CayleyGraph, _coordinate_holds, export_edges
+from unitgraph.characters import _exponents
+from unitgraph.graph import (
+    CayleyGraph, _coordinate_holds, _walsh_hadamard, _walsh_holds, _walsh_values, export_edges,
+)
 from unitgraph.matrices import _det_flat
 
 F2 = field(2)
@@ -375,3 +379,104 @@ def test_flipped_edge_fails_after_the_intact_graph_passed(q, n):
     with pytest.raises(EigenvectorMismatchError) as err:
         spectrum_from_graph(flipped)
     assert err.value.coordinate == a
+
+
+# ---------------------------------------------------------------------------
+# p = 2: one packed Walsh-Hadamard transform per row checks every label
+
+
+def walsh_by_definition(bits, order):
+    return [
+        sum((-1) ** (u & v).bit_count() for v in range(order) if bits >> v & 1)
+        for u in range(order)
+    ]
+
+
+@given(st.integers(0, 8).map(lambda m: 1 << m).flatmap(
+    lambda order: st.tuples(st.just(order), st.integers(0, 2**order - 1))
+))
+def test_walsh_hadamard_matches_the_definition(case):
+    order, bits = case
+    assert _walsh_values(_walsh_hadamard(bits, order), order) == walsh_by_definition(bits, order)
+
+
+def test_walsh_hadamard_ignores_bits_past_the_order():
+    assert _walsh_hadamard(0b1011 | 1 << 16, 16) == _walsh_hadamard(0b1011, 16)
+
+
+@pytest.mark.parametrize("bit", [0, 12345, 2**15 - 1])
+def test_walsh_hadamard_past_2_14_points(bit):
+    # 15 stages: the u = 0 field of the all-ones row reaches 2^16, one past
+    # 16-bit fields, so the width has to grow with the order
+    order = 2**15
+    values = _walsh_values(_walsh_hadamard((1 << order) - 1, order), order)
+    assert values[0] == order and not any(values[1:])
+    values = _walsh_values(_walsh_hadamard(1 << bit, order), order)
+    assert values == [(-1) ** (u & bit).bit_count() for u in range(order)]
+
+
+def test_spectrum_from_graph_p2_matches_brute_force():
+    ctx = field_of_order(8)
+    graph = build_graph(ctx, 2)
+    assert spectrum_from_graph(graph) == spectrum_brute_force(ctx, 2)
+    assert graph._walsh is not None and not graph._passed
+
+
+def sample_labels(ctx, n, count):
+    """Zero, the rank representatives and ``count`` seeded random labels."""
+    rng = random.Random(7)
+    labels = [Matrix.zero(ctx, n)] + [rank_representative(ctx, n, r) for r in range(1, n + 1)]
+    return labels + [
+        Matrix(ctx, n, tuple(rng.randrange(ctx.q) for _ in range(n * n))) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("q,n", [(8, 2), (2, 3)])
+def test_flipped_pair_misses_the_transform_at_exactly_its_rows(q, n):
+    graph = build_graph(field_of_order(q), n)
+    tampered = flipped_graph(graph, 3, 17)
+    misses = [
+        v for v, (row, intact) in enumerate(zip(tampered.rows, graph.rows))
+        if _walsh_hadamard(row, graph.order) != _walsh_hadamard(intact, graph.order)
+    ]
+    assert misses == [3, 17]
+    assert graph._walsh is not None and tampered._walsh is None
+    labels = enumerate_matrices(graph.ctx, n) if q == 2 else sample_labels(graph.ctx, n, 4)
+    results = [(verified(tampered, label), coordinate_oracle(tampered, label)) for label in labels]
+    assert all(got == expected for got, expected in results)
+    assert all(expected[1] is not None for _, expected in results)  # rows 3, 17 are off degree
+    assert not tampered._passed
+
+
+def test_walsh_mu_does_not_hide_a_wrong_eigenvalue(monkeypatch):
+    from unitgraph import graph as graph_mod
+
+    F4 = field_of_order(4)
+    g = build_graph(F4, 2)
+    label = rank_representative(F4, 2, 1)
+    lam = verify_eigenvector(g, label)
+    assert g._walsh is not None
+    charsum = graph_mod.eigenvalue_charsum
+    off = lambda m: charsum(m) + 2 * (m.flat == label.flat)  # keeps d - lambda even
+    monkeypatch.setattr(graph_mod, "eigenvalue_charsum", off)
+    monkeypatch.setitem(globals(), "eigenvalue_charsum", off)  # the oracle's lambda too
+    expected = coordinate_oracle(g, label)
+    assert expected[1] is not None
+    assert verified(g, label) == expected
+    monkeypatch.undo()
+    assert verify_eigenvector(g, label) == lam
+    assert not g._passed
+
+
+def test_p2_graphs_keep_no_passed_partitions():
+    g = build_graph(field_of_order(4), 2)
+    spectrum_from_graph(g)
+    assert not g._passed
+    assert all(  # every label was passed by the transform, not by the columns
+        _walsh_holds(g, _exponents(g.ctx, 2, label.flat, 4), eigenvalue_charsum(label))
+        for label in enumerate_matrices(g.ctx, 2)
+    )
+    tampered = swapped_graph(g, 3, 17)
+    with pytest.raises(EigenvectorMismatchError):
+        spectrum_from_graph(tampered)
+    assert tampered._walsh is None and not tampered._passed
