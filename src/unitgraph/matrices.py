@@ -263,9 +263,14 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
 
     Rows 1..n-1 are chosen first, as the base-q^n digits of t // q^n in
     index order, and their span is carried as a frozenset of row indices
-    (a row's index is its own n digits of the matrix index).  Row 0 is the
-    least significant digit block, so the q^n completions of one choice
-    are contiguous: rank(span) inside the span, one more outside.
+    (a row's index is its own n digits of the matrix index).  The spans
+    are built level by level, row n-1 (the slowest) first, so level k
+    lists the span of rows n-k..n-1 for each of their choices in index
+    order.  Extending a span by a row u outside it builds the new
+    subspace once and records it for every other row it adds, so each
+    subspace is built once per subspace one dimension below it.  Row 0 is
+    the least significant digit block, so the q^n completions of one
+    choice are contiguous: rank(span) inside the span, one more outside.
 
     Callers check their own enumeration cap first; the table is uncapped.
     """
@@ -273,28 +278,32 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
     add, mul = ctx._add, ctx._mul
     vectors = list(_all_digits(q, n))
     spans: dict[frozenset, frozenset] = {}  # one object per distinct subspace
+    grown: dict[tuple[frozenset, int], frozenset] = {}  # (span, u) -> span + <u>
 
-    @functools.cache
     def extend(span: frozenset, u: int) -> frozenset:
         if u in span:
             return span
-        new = frozenset(
-            _number([add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u])], q)
-            for s in span
-            for c in range(q)
-        )
-        return spans.setdefault(new, new)
+        new = grown.get((span, u))
+        if new is None:
+            new = frozenset(
+                _number([add[a][mul[c][b]] for a, b in zip(vectors[s], vectors[u])], q)
+                for s in span
+                for c in range(q)
+            )
+            new = spans.setdefault(new, new)
+            for w in new - span:
+                grown[span, w] = new
+        return new
 
     @functools.cache
     def complete(span: frozenset) -> bytes:
         rank = next(r for r in range(n) if q**r == len(span))
         return bytes(rank + (u not in span) for u in range(size))
 
-    zero = frozenset([0])
-    return b"".join(
-        complete(functools.reduce(extend, rows, zero))
-        for rows in _all_digits(size, n - 1)
-    )
+    level = [frozenset([0])]
+    for _ in range(n - 1):
+        level = [extend(span, u) for span in level for u in range(size)]
+    return b"".join(map(complete, level))
 
 
 def gl_order(q: int, n: int) -> int:

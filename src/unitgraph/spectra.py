@@ -195,6 +195,10 @@ def solve_top_rank_eigenvalue(q: int) -> int:
 # ---------------------------------------------------------------------------
 # brute-force character sums over the invertible matrices
 
+# matrices per chunk of a top-digit block: bounds the transient bytes and
+# integers of one character sum, whatever the block size
+_CHUNK = 1 << 16
+
 
 def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact character sum of the label over all invertible matrices.
@@ -202,9 +206,14 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     Histogram the trace exponent over GL_n(F_q), contract the histogram
     against powers of zeta_p once, and collapse to an integer.  The
     histogram is taken one top-digit block at a time: block d holds the
-    matrices whose most significant entry is d, their exponents are the
-    low-digit exponent bytes shifted by Tr(a * d), and the block's slice
-    of the rank table picks out the invertible ones.  Past p = 256 an
+    matrices whose most significant entry is d, and their exponents are
+    the low-digit exponent bytes shifted by Tr(a * d).  Each block is
+    counted in chunks of at most ``_CHUNK`` matrices: the chunk's slice of
+    the rank table, translated to 0xff for rank n and 0 otherwise, is
+    ANDed with its exponents as one integer, so every singular matrix
+    reads exponent 0 (exponents up to 250 leave no spare byte value or
+    bit to mark them instead).  Only the nonzero exponents are counted;
+    the rest of the invertible matrices have exponent 0.  Past p = 256 an
     exponent does not fit a byte, and the matrices are counted one by
     one.  A ``NotRationalError`` escaping from the collapse indicates a
     bug, not a property of the input: these sums are Galois-stable.
@@ -212,9 +221,10 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     ctx, n = label.ctx, label.n
     _require_under_cap(ctx, n, cap)
     table = _rank_table(ctx, n)
+    invertible = table.count(n)
     if not any(label.flat):
-        return table.count(n)
-    is_gl = bytes(n) + b"\1" + bytes(255 - n)  # rank n -> 1, every other rank -> 0
+        return invertible
+    is_gl = bytes(n) + b"\xff" + bytes(255 - n)  # rank n -> all ones, every other rank -> 0
     counts = [0] * ctx.p
     if ctx.p > _BYTE_MAX_P:  # exponents wider than a byte: count them one by one
         for e in itertools.compress(_exponents(ctx, n, label.flat, n * n), table.translate(is_gl)):
@@ -225,11 +235,15 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     shift = _shift_tables(ctx.p)
     a, size = label.flat[top], len(low)
     for d in range(ctx.q):
-        exps = low.translate(shift[ctx._trace[ctx._mul[a][d]]])
-        mask = table[d * size : (d + 1) * size].translate(is_gl)
-        kept = bytes(itertools.compress(exps, mask))
-        for e in range(ctx.p):
-            counts[e] += kept.count(e)
+        shift_d = shift[ctx._trace[ctx._mul[a][d]]]
+        for start in range(0, size, _CHUNK):
+            exps = low[start : start + _CHUNK].translate(shift_d)
+            mask = table[d * size + start : d * size + start + len(exps)].translate(is_gl)
+            kept = int.from_bytes(exps, "little") & int.from_bytes(mask, "little")
+            kept = kept.to_bytes(len(exps), "little")  # a singular matrix reads exponent 0
+            for e in range(1, ctx.p):
+                counts[e] += kept.count(e)
+    counts[0] = invertible - sum(counts)
     return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
 
 

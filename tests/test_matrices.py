@@ -22,6 +22,7 @@ from unitgraph import (
     matrix_from_index,
     matrix_to_index,
     rank_census,
+    rank_count,
     rank_representative,
 )
 from unitgraph.matrices import _det_flat, _eliminate, _rank_table, indices_from_index_file
@@ -207,7 +208,8 @@ def test_rank_census_small():
 
 
 def test_rank_table_matches_elimination():
-    for q, n in [(2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)]:
+    exhaustive = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2)]
+    for q, n in exhaustive + [(2, 3), (3, 3), (2, 4)]:
         ctx = field_of_order(q)
         table = _rank_table(ctx, n)
         assert len(table) == matrix_count(ctx, n)
@@ -216,6 +218,18 @@ def test_rank_table_matches_elimination():
             assert table[t] == rank, (q, n, t)
             if n <= 3:
                 assert det == _det_flat(ctx, n, m.flat), (q, n, t)
+    for q in (4, 5):
+        ctx = field_of_order(q)
+        table = _rank_table(ctx, 3)
+        assert len(table) == matrix_count(ctx, 3)
+        rng = random.Random(q)
+        for t in rng.sample(range(len(table)), 2000):
+            assert table[t] == _eliminate(ctx, 3, matrix_from_index(ctx, 3, t).flat)[0], (q, t)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 5):
+            if q ** (n * n) <= 5**9:
+                census = rank_census(field_of_order(q), n)
+                assert census == [rank_count(q, n, r) for r in range(n + 1)], (q, n)
 
 
 def test_gl_mask_matches_unrolled_determinant():

@@ -7,6 +7,7 @@ shares no code with the library's field/matrix machinery.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,8 +37,9 @@ from unitgraph import (
     spectrum_closed_form,
     trace_identity_holds,
 )
+from unitgraph import spectra
 from unitgraph.characters import _exponent_of, _label_terms
-from unitgraph.matrices import matrix_from_index
+from unitgraph.matrices import _rank_table, matrix_from_index
 from unitgraph.spectra import _eigenvalue_polynomial
 
 F2 = field(2)
@@ -369,11 +371,7 @@ def plain_charsum(label, gl_flats):
     return counts[0] - counts[1]
 
 
-@pytest.mark.parametrize(
-    "q, n, sample",
-    [(2, 2, None), (3, 2, None), (2, 3, None), (4, 2, None), (257, 1, None), (3, 3, 40), (4, 3, 40)],
-)
-def test_blocked_charsum_matches_plain_histogram(q, n, sample):
+def assert_blocked_charsum_matches_plain_histogram(q, n, sample):
     ctx = field_of_order(q)
     gl = [m.flat for m in enumerate_invertible(ctx, n)]
     if sample is None:
@@ -383,3 +381,39 @@ def test_blocked_charsum_matches_plain_histogram(q, n, sample):
         labels = [matrix_from_index(ctx, n, rng.randrange(q ** (n * n))) for _ in range(sample)]
     for label in labels:
         assert eigenvalue_charsum(label) == plain_charsum(label, gl), label.flat
+
+
+@pytest.mark.parametrize(
+    "q, n, sample",
+    [
+        (2, 2, None), (3, 2, None), (2, 3, None), (4, 2, None),
+        (131, 1, None), (251, 1, 40), (257, 1, None), (3, 3, 40), (4, 3, 40),
+    ],
+)
+def test_blocked_charsum_matches_plain_histogram(q, n, sample):
+    # 131 and 251: exponents of 128 and more still fit a byte and must not
+    # be read as singular
+    assert_blocked_charsum_matches_plain_histogram(q, n, sample)
+
+
+@pytest.mark.parametrize("q, n, sample", [(3, 3, 40), (4, 3, 10)])
+def test_partial_chunks_match_plain_histogram(q, n, sample, monkeypatch):
+    # 1000 divides no block (3^8 and 4^8 matrices), so every block ends in
+    # a partial chunk, after 6 resp. 65 full ones
+    monkeypatch.setattr(spectra, "_CHUNK", 1000)
+    assert_blocked_charsum_matches_plain_histogram(q, n, sample)
+
+
+def test_charsum_transient_memory_stays_below_half_the_table():
+    # the masked exponents are counted one bounded chunk at a time
+    ctx = field_of_order(5)
+    table = _rank_table(ctx, 3)
+    label = rank_representative(ctx, 3, 2)
+    eigenvalue_charsum(label)  # warm the shift tables too
+    tracemalloc.start()
+    try:
+        eigenvalue_charsum(label)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(table) // 2
