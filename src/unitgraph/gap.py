@@ -23,25 +23,30 @@ matrices is numbered once, on entry, into a view that keeps its objects;
 from a drawn or read view a ``Matrix`` is built only for the two matrices
 of a witness.
 
-The scan visits the pairs (a, b) in input order and takes one of two
+The scan returns the first pair (a, b) in input order and takes one of two
 routes, chosen from q^(n^2) alone.  Up to ``DEFAULT_ENUM_CAP`` matrices it
-reads invertibility from the cached rank table: a matrix index is a
-base-q number whose digits are the entries, so index(b - a) is a sum of
-one looked-up term per block of digits (per row, at n = 3), and each
-block of an index is one integer division away.  Above the cap (n = 3 and
-q >= 7) it computes the unrolled determinant of every b - a.  Both routes
-return the same pair.
+tests each a against a whole block of Y at once: b - a is singular
+exactly when its n rows lie in one hyperplane of F_q^n, and the
+hyperplanes are read off the cached rank table, 8 to a byte.  Y is cut
+into two blocks, its first 8 matrices and the rest, each encoded once
+when first reached.  For one a, a block costs n masks per group of 8
+planes and a few whole-integer ANDs and ORs.  The masks are memoised
+per (block, row, value) for the scan: at most n * q^n * ceil(H / 8)
+masks of |Y| bytes for H hyperplanes, and the memo is emptied when it
+passes 64 MiB.  Above the cap (n = 3 and q >= 7) it computes the
+unrolled determinant of every b - a.  Both routes return the same pair.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext, _digits, _over_cap, _power
@@ -193,48 +198,102 @@ def _pairwise_scan(
     return None
 
 
+@functools.lru_cache(maxsize=2)
+def _plane_masks(ctx: FieldContext, n: int) -> Callable[[Sequence[int], int], list[int]]:
+    """The hyperplanes of F_q^n, read off the rank table, 8 to a byte.
+
+    Slice c of q^n bytes of the table fixes rows 1..n-1 and runs over
+    row 0.  When it holds the value n, those rows span a hyperplane, and
+    the positions that read n - 1 are that hyperplane; the distinct such
+    slices are all (q^n - 1) / (q - 1) hyperplanes, numbered in order of
+    first appearance.  The returned function takes a column of row values
+    (bytes where q^n <= 256, a list past that) and a row value v, and
+    gives one integer per group of 8 planes whose byte j has bit k set
+    when plane k of the group contains rows[j] - v.
+    """
+    q, size, table = ctx.q, ctx.q**n, _rank_table(ctx, n)
+    add, neg = ctx._add, ctx._neg
+    slices = (table[c : c + size] for c in range(0, len(table), size))
+    planes = list(dict.fromkeys(s for s in slices if n in s))
+    groups = []  # per group of 8 planes, byte u holds the planes that contain u
+    for g in range(0, len(planes), 8):
+        packed = 0
+        for k, plane in enumerate(planes[g : g + 8]):
+            bit = bytes(n - 1) + bytes([1 << k]) + bytes(256 - n)  # rank n - 1 -> bit k, else 0
+            packed |= int.from_bytes(plane.translate(bit), "little")
+        groups.append(packed.to_bytes(size, "little"))
+
+    @functools.lru_cache(maxsize=4)  # the rows of one a, for both blocks of Y
+    def minus(v: int) -> list[int]:  # position u holds the index of u - v
+        where, place = [0], 1
+        for digit in _digits(v, q, n):  # u's next digit x adds place * (x - digit)
+            where = [place * x + t for x in add[neg[digit]] for t in where]
+            place *= q
+        return where
+
+    if size <= 256:
+
+        @functools.cache  # at most 256 row values
+        def tables(v: int) -> list[bytes]:  # the groups at u - v, padded for bytes.translate
+            return [bytes(map(group.__getitem__, minus(v))).ljust(256, b"\0") for group in groups]
+
+        return lambda rows, v: [int.from_bytes(rows.translate(t), "little") for t in tables(v)]
+
+    # a row value is wider than a byte (n <= 2): the groups of every row
+    # value as one string, so that one join reads all groups of a column
+    across = [bytes(column) for column in zip(*groups)]
+
+    def wide(rows: Sequence[int], v: int) -> list[int]:
+        flags = b"".join(map(across.__getitem__, map(minus(v).__getitem__, rows)))
+        return [int.from_bytes(flags[g :: len(groups)], "little") for g in range(len(groups))]
+
+    return wide
+
+
+_HEAD = 8  # Y is scanned as ys[:_HEAD] and the rest: an early hit encodes 8 matrices
+_MEMO_BYTES = 1 << 26  # a scan drops its memoised masks when they pass 64 MiB
+
+
 def _table_scan(
     ctx: FieldContext, n: int, xs: list[int], ys: list[int]
 ) -> Optional[tuple[int, int]]:
-    """The scan by one rank-table byte per pair; the positions (i, j) of
-    the first hit.
+    """The scan by hyperplane masks; the positions (i, j) of the first hit.
 
-    The n^2 digits of a matrix index are cut into three blocks of ``width``
-    consecutive digits (the rows at n = 3; the last block may be short or
-    empty), so the blocks of index t are its three base-Q digits with
-    Q = q**width.  For each distinct block v of an a, one list holds the
-    place-weighted index of u - v for every possible block u, so
-    index(b - a) is three list lookups and two adds.  One list of Q
-    integers is built per distinct block of the a's reached: Q is at most
-    125 at n = 3 (q <= 5 under the cap) and 4096 at n <= 2.
+    Each block of Y is encoded once, one column per row position: bytes
+    where a row value fits a byte (every table at n = 3), a list past
+    that.  Row r of an a, of value v, gives per group of 8 planes one
+    integer whose byte j flags the planes that contain row r of y_j - a
+    (``_plane_masks``), memoised per (block, r, v).  ANDing the rows within
+    each group and ORing the groups flags every singular y of the block,
+    and the first zero byte is the hit.
     """
-    q, table = ctx.q, _rank_table(ctx, n)
-    add, neg = ctx._add, ctx._neg
-    width = -(-n * n // 3)
-    big = q**width
-
-    @functools.cache
-    def differences(k: int, v: int) -> list[int]:
-        terms, place = [0], big**k
-        for digit in _digits(v, q, width):  # u's next digit x adds place * (x - digit)
-            terms = [place * x + t for x in add[neg[digit]] for t in terms]
-            place *= q
-        return terms
-
-    blocks: list[tuple[int, ...]] = []
-
-    def first_pass():  # most queries hit early: decode ys as the first a reaches them
-        for b in ys:
-            blocks.append(_digits(b, big, 3))
-            yield blocks[-1]
-
+    size, plane_masks = ctx.q**n, _plane_masks(ctx, n)
+    column = bytes if size <= 256 else list
+    places = [size**r for r in range(n)]
+    blocks, columns = [(0, _HEAD), (_HEAD, len(ys))], []
+    memo: dict[tuple[int, int, int], list[int]] = {}
+    held = 0  # bytes of the masks in memo
     for i, a in enumerate(xs):
-        d0, d1, d2 = (differences(k, v) for k, v in enumerate(_digits(a, big, 3)))
-        for u0, u1, u2 in blocks if i else first_pass():
-            if table[d0[u0] + d1[u1] + d2[u2]] == n:
-                # an equal b earlier in ys would have been the hit, so the
-                # first equal blocks are this b's
-                return i, blocks.index((u0, u1, u2))
+        rows = _digits(a, size, n)
+        for k, (start, stop) in enumerate(blocks):
+            if start >= len(ys):
+                break
+            if k == len(columns):  # row r of every y: digit r in base q^n
+                columns.append([column(y // p % size for y in ys[start:stop]) for p in places])
+            planes = None
+            for r, v in enumerate(rows):
+                masks = memo.get((k, r, v))
+                if masks is None:
+                    if held > _MEMO_BYTES:
+                        memo.clear()
+                        held = 0
+                    masks = memo[k, r, v] = plane_masks(columns[k][r], v)
+                    held += len(masks) * len(columns[k][r])
+                planes = masks if planes is None else map(operator.and_, planes, masks)
+            singular = functools.reduce(operator.or_, planes)
+            j = singular.to_bytes(len(columns[k][0]), "little").find(0)
+            if j >= 0:
+                return i, start + j
     return None
 
 

@@ -207,10 +207,11 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     against powers of zeta_p once, and collapse to an integer.  The
     histogram is taken one top-digit block at a time: block d holds the
     matrices whose most significant entry is d, and their exponents are
-    the low-digit exponent bytes shifted by Tr(a * d).  Each block is
-    counted in chunks of at most ``_CHUNK`` matrices: the chunk's slice of
-    the rank table, translated to 0xff for rank n and 0 otherwise, is
-    ANDed with its exponents as one integer, so every singular matrix
+    the low-digit exponent bytes shifted by Tr(a * d).  Blocks are
+    counted in chunks of at most ``_CHUNK`` matrices (a long block is cut,
+    short consecutive blocks are joined): the chunk's slice of the rank
+    table, translated to 0xff for rank n and 0 otherwise, is ANDed with
+    its exponents as one integer, so every singular matrix
     reads exponent 0 (exponents up to 250 leave no spare byte value or
     bit to mark them instead).  Only the nonzero exponents are counted;
     the rest of the invertible matrices have exponent 0.  Past p = 256 an
@@ -234,10 +235,11 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     low = _exponents(ctx, n, label.flat, top)
     shift = _shift_tables(ctx.p)
     a, size = label.flat[top], len(low)
-    for d in range(ctx.q):
-        shift_d = shift[ctx._trace[ctx._mul[a][d]]]
+    per = max(1, _CHUNK // size)  # consecutive blocks gathered into one chunk
+    for d in range(0, ctx.q, per):
+        shifts = [shift[ctx._trace[ctx._mul[a][e]]] for e in range(d, min(d + per, ctx.q))]
         for start in range(0, size, _CHUNK):
-            exps = low[start : start + _CHUNK].translate(shift_d)
+            exps = b"".join(low[start : start + _CHUNK].translate(s) for s in shifts)
             mask = table[d * size + start : d * size + start + len(exps)].translate(is_gl)
             kept = int.from_bytes(exps, "little") & int.from_bytes(mask, "little")
             kept = kept.to_bytes(len(exps), "little")  # a singular matrix reads exponent 0

@@ -40,6 +40,7 @@ from unitgraph import (
     spectrum_from_graph,
 )
 from unitgraph import gap as gap_mod
+from unitgraph.gap import IndexSubset
 
 F2 = field(2)
 F3 = field(3)
@@ -214,6 +215,11 @@ def test_criterion_10_independence_number():
         assert len(kernel) == len(set(kernel)) == ctx.q**6
         assert gap_mod._table_scan(ctx, 3, kernel, kernel) is None
         assert gap_mod._pairwise_scan(ctx, 3, kernel, kernel) is None
+    # at q = 4 the public check scans all 4096^2 pairs and finds no witness
+    kernel = IndexSubset(F4, 3, kernel_subspace(F4, (1, 2, 3)))
+    assert len(kernel) == len(set(kernel.indices)) == 4**6
+    gap = check_spectral_gap(kernel, kernel)
+    assert not gap.guaranteed and gap.witness is None
     report(10, "Hoffman bound q^(n(n-1)) at n = 3 (q <= 27) and n = 2 (q <= 9), attained", started)
 
 

@@ -23,6 +23,7 @@ from unitgraph import (
     spectral_threshold,
 )
 from unitgraph import gap as gap_mod
+from unitgraph.fields import _digits, _number
 from unitgraph.gap import IndexSubset
 
 F2 = field(2)
@@ -198,27 +199,57 @@ def _same_pair(found, expected):
     return found is not None and found[0] is expected[0] and found[1] is expected[1]
 
 
+def _left_kernel_matrix(ctx, n, w, rows):
+    """The matrix B with w B = 0 and ``rows`` as its other rows: row p, for
+    the first nonzero w_p, is solved for."""
+    add, mul, neg, inv = ctx._add, ctx._mul, ctx._neg, ctx._inv
+    p = next(i for i, x in enumerate(w) if x)
+    rows = list(rows)
+    solved = []
+    for col in range(n):
+        acc = 0
+        for wi, row in zip(w[:p] + w[p + 1 :], rows):
+            acc = add[acc][mul[wi][row[col]]]
+        solved.append(mul[neg[acc]][inv[w[p]]])
+    rows.insert(p, tuple(solved))
+    return Matrix(ctx, n, tuple(itertools.chain(*rows)))
+
+
+# (q, n) of the table route: rows of one byte up to q^n = 64, and rows
+# wider than a byte at (17, 2) and (257, 1)
+SCAN_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
+SCAN_CASES += [(17, 2), (257, 1)]
+
+
 @st.composite
 def scan_inputs(draw):
-    """Two lists of matrices at q in {2, 3, 4} and n in {1, 2, 3} (and n = 4
-    at q = 2, where the three digit blocks are not rows); half the time
-    drawn from the kernel {B : B v = 0} of a nonzero v, where every
-    difference is singular."""
-    q = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.sampled_from([1, 2, 3, 4] if q == 2 else [1, 2, 3]))
+    """Two lists of matrices, drawn at random or from a set where every
+    difference is singular: the kernel {B : B v = 0} or the left kernel
+    {B : w B = 0} of a nonzero vector.  Y may go on past the singular set
+    with random matrices, so a first hit can land anywhere up to about
+    position 100, and often just before or at the start of Y's second
+    block."""
+    q, n = draw(st.sampled_from(SCAN_CASES))
     ctx = field_of_order(q)
-    if draw(st.booleans()):
-        v = draw(st.tuples(*[st.integers(0, q - 1)] * n).filter(any))
-        row = st.sampled_from(_kernel_rows(ctx, n, v))
-        matrix = st.lists(row, min_size=n, max_size=n).map(
-            lambda rows: Matrix(ctx, n, tuple(itertools.chain(*rows)))
-        )
-        kernel = True
+    vector = st.tuples(*[st.integers(0, q - 1)] * n).filter(any)
+    anything = st.integers(0, q ** (n * n) - 1).map(lambda i: matrix_from_index(ctx, n, i))
+    kind = draw(st.sampled_from(["random", "kernel", "left kernel"]))
+    if kind == "kernel":
+        row = st.sampled_from(_kernel_rows(ctx, n, draw(vector)))
+        rows = st.lists(row, min_size=n, max_size=n)
+        matrix = rows.map(lambda rows: Matrix(ctx, n, tuple(itertools.chain(*rows))))
+    elif kind == "left kernel":
+        w, row = draw(vector), st.tuples(*[st.integers(0, q - 1)] * n)
+        rows = st.lists(row, min_size=n - 1, max_size=n - 1)
+        matrix = rows.map(lambda rows: _left_kernel_matrix(ctx, n, w, rows))
     else:
-        matrix = st.integers(0, q ** (n * n) - 1).map(lambda i: matrix_from_index(ctx, n, i))
-        kernel = False
-    subset = st.lists(matrix, min_size=1, max_size=12)
-    return ctx, n, draw(subset), draw(subset), kernel
+        matrix = anything
+    head = gap_mod._HEAD
+    size = draw(st.one_of(st.sampled_from([head - 1, head]), st.integers(1, 100)))
+    xs = draw(st.lists(matrix, min_size=1, max_size=12))
+    ys = draw(st.lists(matrix, min_size=size, max_size=size))
+    extra = draw(st.lists(anything, max_size=3))
+    return ctx, n, xs, ys + extra, kind != "random" and not extra
 
 
 def _indices(ms):
@@ -310,6 +341,60 @@ def test_a_list_is_numbered_once_per_query(monkeypatch):
     assert len(numbered) == 150  # each matrix once: the duplicate check and the scan share it
     a, b = report.witness
     assert any(a is m for m in xs) and any(b is m for m in ys)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (9, 2), (17, 2), (257, 1)])
+def test_plane_masks_flag_every_hyperplane(q, n):
+    # the slices of the rank table give each hyperplane of F_q^n once, and
+    # the masks of a row value v flag at row u the planes that hold u - v
+    ctx = field_of_order(q)
+    size = q**n
+    masks = gap_mod._plane_masks(ctx, n)
+    every = (bytes if size <= 256 else list)(range(size))
+
+    def flags(v):
+        return [mask.to_bytes(size, "little") for mask in masks(every, v)]
+
+    at_zero = flags(0)
+    planes = [
+        frozenset(u for u in range(size) if group[u] >> bit & 1)
+        for group in at_zero
+        for bit in range(8)
+    ]
+    planes = [plane for plane in planes if plane]
+    assert len(planes) == len(set(planes)) == (size - 1) // (q - 1)
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
+
+    def combine(u, c, w):  # the row u + c w, by index
+        pairs = zip(_digits(u, q, n), _digits(w, q, n))
+        return _number([add[x][mul[c][y]] for x, y in pairs], q)
+
+    for plane in planes:
+        assert len(plane) == q ** (n - 1) and 0 in plane
+        assert all(combine(u, c, w) in plane for u in plane for w in plane for c in range(q))
+    for v in (1, size - 1, size // 2):
+        minus_v = _number([neg[x] for x in _digits(v, q, n)], q)
+        for group, zero in zip(flags(v), at_zero):
+            assert all(group[u] == zero[combine(u, 1, minus_v)] for u in range(size))
+
+
+@pytest.mark.parametrize("q, n", [(3, 3), (17, 2)])
+def test_table_scan_without_the_memo_matches_pairwise_scan(q, n, monkeypatch):
+    # a memo over its byte budget is emptied before each new mask: the scan
+    # then rebuilds every mask and must still return the same pair
+    monkeypatch.setattr(gap_mod, "_MEMO_BYTES", 0)
+    ctx, rng = field_of_order(q), random.Random(q)
+
+    def left_kernel_matrix():  # w B = 0 for w = (1, ..., 1)
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(n - 1)]
+        return _left_kernel_matrix(ctx, n, (1,) * n, rows)
+
+    left = [left_kernel_matrix() for _ in range(60)]
+    anything = [matrix_from_index(ctx, n, rng.randrange(q ** (n * n))) for _ in range(3)]
+    for xs, ys in ((left, left), (left[:20], left + anything)):
+        found = gap_mod._table_scan(ctx, n, _indices(xs), _indices(ys))
+        assert found == gap_mod._pairwise_scan(ctx, n, _indices(xs), _indices(ys))
+        assert (found is None) == (ys is left)
 
 
 def test_pairwise_route_above_the_cap(monkeypatch):

@@ -404,6 +404,14 @@ def test_partial_chunks_match_plain_histogram(q, n, sample, monkeypatch):
     assert_blocked_charsum_matches_plain_histogram(q, n, sample)
 
 
+@pytest.mark.parametrize("q, n, chunk", [(5, 2, 300), (251, 1, 100)])
+def test_gathered_blocks_match_plain_histogram(q, n, chunk, monkeypatch):
+    # blocks shorter than a chunk are joined, 2 of 125 resp. 100 of 1 per
+    # chunk, and the last chunk takes the blocks left over
+    monkeypatch.setattr(spectra, "_CHUNK", chunk)
+    assert_blocked_charsum_matches_plain_histogram(q, n, None)
+
+
 def test_charsum_transient_memory_stays_below_half_the_table():
     # the masked exponents are counted one bounded chunk at a time
     ctx = field_of_order(5)
