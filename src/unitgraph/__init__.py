@@ -3,7 +3,7 @@
 The library computes, in exact integer and cyclotomic arithmetic, the
 eigenvalues and multiplicities of the graph whose vertices are the n x n
 matrices over a finite field and whose edges join matrices with an
-invertible difference.  Closed forms (for 3 x 3) and exhaustive
+invertible difference.  Closed forms (for every n) and exhaustive
 brute-force oracles are kept as separate routes so each can check the
 other, and a spectral-gap bound turns the spectrum into edge-existence
 guarantees for large vertex subsets.
@@ -50,7 +50,6 @@ from .spectra import (
     eigenvalue_charsum_rank,
     eigenvalue_closed_form,
     rank_count,
-    solve_top_rank_eigenvalue,
     spectrum_brute_force,
     spectrum_closed_form,
     trace_identity_holds,

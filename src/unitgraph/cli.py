@@ -103,24 +103,23 @@ def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
 # spectrum
 
 
+def _closed_spectrum(p: int, k: int, n: int) -> spectra.Spectrum:
+    """The closed-form spectrum over F_(p^k), refused (as a size cap) when
+    its numbers are past Python's limit for integer string conversion."""
+    vertices = _power(p, k * n * n)  # no number in the report is larger
+    if not vertices.isdigit():
+        raise SizeTooLargeError(
+            f"{vertices} vertices: the report's numbers exceed Python's limit for "
+            "integer string conversion"
+        )
+    return spectra.spectrum_closed_form(p**k, n)
+
+
 def _cmd_spectrum(args):
-    enum_cap, _ = _caps(args)
-    if args.n == 3:
-        # closed forms need no field, but a given modulus must be valid
-        if args.modulus:
-            p, k, _ = _resolve_field(args)
-        else:
-            p, k = _resolve_pk(args)
-        vertices = _power(p, k * 9)  # no number in the report is larger
-        if not vertices.isdigit():
-            raise SizeTooLargeError(
-                f"{vertices} vertices: the report's numbers exceed Python's limit for "
-                "integer string conversion"
-            )
-        spectrum = spectra.spectrum_closed_form(p**k)
-    else:
-        ctx = _resolve_context(args, enum_cap)
-        spectrum = spectra.spectrum_brute_force(ctx, args.n, cap=enum_cap)
+    _caps(args)  # unused, but an unreadable cap variable is still a usage error
+    # closed forms need no field, but a given modulus must be valid
+    p, k = _resolve_field(args)[:2] if args.modulus else _resolve_pk(args)
+    spectrum = _closed_spectrum(p, k, args.n)
     if args.format == "csv":
         lines = spectrum.to_csv().splitlines()
     else:
@@ -138,9 +137,10 @@ def _cmd_spectrum(args):
 
 
 def _verify_checks(
-    q: int, ctx: Optional[FieldContext], n: int, enum_cap: int, graph_cap: int
+    p: int, k: int, ctx: Optional[FieldContext], n: int, enum_cap: int, graph_cap: int
 ) -> list[dict]:
     """The checks of ``verify``; ``ctx`` is read only by checks under a cap."""
+    q = p**k
     over_graph = _over_cap(q, n * n, graph_cap)
     checks: list[dict] = []
     spectrum = graph = None
@@ -163,10 +163,10 @@ def _verify_checks(
             raise SizeTooLargeError(f"{_power(q, n * n)} matrices over cap {enum_cap}")
 
     def eigenvalues():
-        # closed-form eigenvalues vs exhaustive character sums (n = 3 only)
+        # closed-form eigenvalues vs exhaustive character sums
         enumerable()
-        closed = [spectra.eigenvalue_closed_form(q, r) for r in range(4)]
-        charsum = [spectra.eigenvalue_charsum_rank(ctx, n, r, cap=enum_cap) for r in range(4)]
+        closed = [spectra.eigenvalue_closed_form(q, r, n) for r in range(n + 1)]
+        charsum = [spectra.eigenvalue_charsum_rank(ctx, n, r, cap=enum_cap) for r in range(n + 1)]
         bad = [
             f"rank {r}: closed {c} != charsum {b}"
             for r, (c, b) in enumerate(zip(closed, charsum))
@@ -182,13 +182,9 @@ def _verify_checks(
         return census == formula, f"census {census} vs formula {formula}"
 
     def trace():
-        # zero-trace identity on the assembled spectrum
+        # zero-trace identity on the closed-form spectrum
         nonlocal spectrum
-        if n == 3:
-            spectrum = spectra.spectrum_closed_form(q)
-        else:
-            enumerable()
-            spectrum = spectra.spectrum_brute_force(ctx, n, cap=enum_cap)
+        spectrum = _closed_spectrum(p, k, n)
         weighted = sum(l.multiplicity * l.eigenvalue for l in spectrum.lines)
         return weighted == 0, f"weighted eigenvalue sum = {weighted}"
 
@@ -202,16 +198,15 @@ def _verify_checks(
 
     def eigenvectors():
         lines = graph_mod.spectrum_from_graph(graph).lines
-        # with the enumeration over its cap there is no spectrum to compare
+        # a failed trace check leaves no spectrum to compare
         return (
-            lines == spectrum.lines if spectrum else trace_status == "skipped",
+            spectrum is not None and lines == spectrum.lines,
             f"graph spectrum {[(l.eigenvalue, l.multiplicity) for l in lines]}",
         )
 
-    if n == 3:
-        run("eigenvalues-closed-vs-charsum", eigenvalues)
+    run("eigenvalues-closed-vs-charsum", eigenvalues)
     run("multiplicities-formula-vs-census", multiplicities)
-    trace_status = run("trace-identity", trace)
+    run("trace-identity", trace)
     # the graph checks stop at the first that does not pass; a cap skips both
     if run("graph-checks" if over_graph else "graph-structure", structure) == "pass":
         run("graph-eigenvectors", eigenvectors)
@@ -224,7 +219,7 @@ def _cmd_verify(args):
     q, n = p**k, args.n
     # over both caps every check is skipped or reads only q: build no table
     ctx = None if _over_cap(q, n * n, max(enum_cap, graph_cap)) else field(p, k, modulus=modulus)
-    checks = _verify_checks(q, ctx, n, enum_cap, graph_cap)
+    checks = _verify_checks(p, k, ctx, n, enum_cap, graph_cap)
     failed = [c["name"] for c in checks if c["status"] == "fail"]
     tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     lines = [f"verification, q={q}, n={n}"]

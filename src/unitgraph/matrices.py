@@ -307,9 +307,9 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
 
 
 def gl_order(q: int, n: int) -> int:
-    """|GL_n(F_q)| = prod_{k=0}^{n-1} (q^n - q^k), as an exact integer."""
-    if q < 2 or n < 1:
-        raise ValueError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
+    """|GL_n(F_q)| = prod_{k=0}^{n-1} (q^n - q^k), as an exact integer (1 at n = 0)."""
+    if q < 2 or n < 0:
+        raise ValueError(f"need q >= 2 and n >= 0, got q={q}, n={n}")
     qn = q**n
     order = 1
     for k in range(n):

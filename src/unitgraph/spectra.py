@@ -3,10 +3,9 @@
 Two independent routes to the same numbers live here and are kept
 deliberately separate so they can cross-check each other:
 
-* closed forms -- for n = 3, each eigenvalue is an explicit integer
-  polynomial in q, indexed by the rank of the character label, and each
-  multiplicity is the count of rank-r matrices given by Landsberg's
-  formula;
+* closed forms -- for every n, each eigenvalue is a product formula in
+  q, indexed by the rank of the character label, and each multiplicity
+  is the count of rank-r matrices given by Landsberg's formula;
 * brute force -- for any n small enough to enumerate, the eigenvalue of a
   label is the exact character sum over all invertible matrices, computed
   by histogramming trace exponents and contracting against roots of unity
@@ -14,12 +13,13 @@ deliberately separate so they can cross-check each other:
   read off the cached rank table of ``matrices``; the closed forms never
   touch it.
 
-The closed forms for n = 3, by label rank r:
+The closed form for label rank r (Kiani and Mollahajiaghaei, "On the
+unitary Cayley graphs of matrix algebras"):
 
-    r = 0:  (q^3-1)(q^3-q)(q^3-q^2)   (the full count of invertibles)
-    r = 1:  -q^6 + q^5 + q^4 - q^3
-    r = 2:  q^4 - q^3
-    r = 3:  -q^3
+    lambda_r = (-1)^r q^(r(r-1)/2 + r(n-r)) |GL_(n-r)(F_q)|
+
+At n = 3 this is (q^3-1)(q^3-q)(q^3-q^2), -q^6 + q^5 + q^4 - q^3,
+q^4 - q^3 and -q^3 for r = 0..3.
 
 All arithmetic is exact; a cyclotomic sum that fails to collapse to an
 integer raises rather than rounding.
@@ -39,6 +39,7 @@ from .matrices import (
     Matrix,
     _rank_table,
     _require_under_cap,
+    gl_order,
     rank_representative,
 )
 
@@ -62,8 +63,11 @@ class Spectrum:
         """Check the structural identities; raises CheckFailedError on failure.
 
         Violations here mean an implementation bug, not bad user input:
-        multiplicities must partition all q^(n^2) labels and the weighted
-        eigenvalue sum must vanish because the graph has no loops.
+        multiplicities must partition all q^(n^2) labels, the weighted
+        eigenvalue sum must vanish because the graph has no loops, the
+        weighted sum of squares must be trace(A^2) = q^(n^2) |GL_n(F_q)|
+        (vertices times degree), and the n + 1 eigenvalues must be
+        pairwise distinct.
         """
         if len(self.lines) != self.n + 1:
             raise CheckFailedError(f"expected {self.n + 1} spectrum lines, got {len(self.lines)}")
@@ -72,17 +76,19 @@ class Spectrum:
                 raise CheckFailedError(f"line {r} carries rank {line.rank}")
             if line.multiplicity < 1:
                 raise CheckFailedError(f"rank {r} has multiplicity {line.multiplicity} < 1")
+        vertices = self.q ** (self.n * self.n)
         total = sum(line.multiplicity for line in self.lines)
-        if total != self.q ** (self.n * self.n):
-            raise CheckFailedError(
-                f"multiplicities sum to {total}, expected {self.q ** (self.n * self.n)}"
-            )
+        if total != vertices:
+            raise CheckFailedError(f"multiplicities sum to {total}, expected {vertices}")
         if not trace_identity_holds(self):
             raise CheckFailedError("weighted eigenvalue sum is nonzero")
-        if self.n == 3:
-            values = [line.eigenvalue for line in self.lines]
-            if len(set(values)) != 4:
-                raise CheckFailedError(f"eigenvalues not pairwise distinct: {values}")
+        squares = sum(line.multiplicity * line.eigenvalue**2 for line in self.lines)
+        if squares != vertices * gl_order(self.q, self.n):
+            raise CheckFailedError("weighted sum of squared eigenvalues is not q^(n^2) |GL_n|")
+        # lambda_r = -(q^(n-r) - 1) lambda_(r+1): signs alternate, same-sign magnitudes differ
+        values = [line.eigenvalue for line in self.lines]
+        if len(set(values)) != self.n + 1:
+            raise CheckFailedError(f"eigenvalues not pairwise distinct: {values}")
         return self
 
     def to_json_dict(self) -> dict:
@@ -106,29 +112,22 @@ def trace_identity_holds(spectrum: Spectrum) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# closed forms (n = 3)
+# closed forms
 
 
-def eigenvalue_closed_form(q: int, rank: int) -> int:
-    """The n = 3 eigenvalue for labels of the given rank, factored form."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
-    if rank == 0:
-        return (q**3 - 1) * (q**3 - q) * (q**3 - q**2)
-    if rank == 1:
-        # N(0) - N(1): invertible counts with fixed (0,0) entry 0 resp. 1
-        return (q**2 - 1) * (q**3 - q) * (q**3 - q**2) - q**2 * (q**3 - q) * (q**3 - q**2)
-    if rank == 2:
-        return q**3 * (q - 1)
-    if rank == 3:
-        return -(q**3)
-    raise ValueError(f"rank must be in [0, 3], got {rank}")
+def eigenvalue_closed_form(q: int, rank: int, n: int = 3) -> int:
+    """The eigenvalue for labels of the given rank in Mat_n(F_q):
+    (-1)^r q^(r(r-1)/2 + r(n-r)) |GL_(n-r)(F_q)|."""
+    if not 0 <= rank <= n:
+        raise ValueError(f"rank must be in [0, {n}], got {rank}")
+    power = rank * (rank - 1) // 2 + rank * (n - rank)
+    return (-1) ** rank * q**power * gl_order(q, n - rank)
 
 
 def _eigenvalue_polynomial(q: int, rank: int) -> int:
-    """Expanded-polynomial transcription of the same eigenvalues.
+    """Expanded-polynomial transcription of the n = 3 eigenvalues.
 
-    Kept separate from the factored forms on purpose: tests assert the two
+    Kept separate from the product form on purpose: tests assert the two
     transcriptions agree over a sweep of q, guarding against a typo in
     either one.
     """
@@ -165,31 +164,13 @@ def rank_count(q: int, n: int, r: int) -> int:
     return acc
 
 
-def spectrum_closed_form(q: int) -> Spectrum:
-    """The full n = 3 spectrum from the closed forms, validated."""
+def spectrum_closed_form(q: int, n: int = 3) -> Spectrum:
+    """The full spectrum from the closed forms, validated."""
     lines = tuple(
-        SpectrumLine(r, eigenvalue_closed_form(q, r), rank_count(q, 3, r))
-        for r in range(4)
+        SpectrumLine(r, eigenvalue_closed_form(q, r, n), rank_count(q, n, r))
+        for r in range(n + 1)
     )
-    return Spectrum(q, 3, lines).validate()
-
-
-def solve_top_rank_eigenvalue(q: int) -> int:
-    """Recover the rank-3 eigenvalue from the zero-trace identity.
-
-    The weighted sum of all four eigenvalues vanishes, so the last one is
-    minus the weighted sum of the first three divided by its multiplicity.
-    The division must be exact; a remainder means the closed forms are
-    inconsistent with each other.
-    """
-    weighted = sum(rank_count(q, 3, r) * eigenvalue_closed_form(q, r) for r in range(3))
-    m3 = rank_count(q, 3, 3)
-    lam, rem = divmod(-weighted, m3)
-    if rem:
-        raise InexactDivisionError(
-            f"trace identity does not divide exactly at q={q} (remainder {rem})"
-        )
-    return lam
+    return Spectrum(q, n, lines).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,10 @@ def test_spectrum_brute_force_n2(capsys):
 
 
 def test_spectrum_cap_exit(capsys):
-    code, _, err = run(capsys, "spectrum", "--q", "2", "--n", "5")
+    # the spectrum is closed-form at every n; the enumeration cap binds census
+    code, out, _ = run(capsys, "spectrum", "--q", "2", "--n", "5")
+    assert code == 0 and "(33554432 vertices)" in out
+    code, _, err = run(capsys, "census", "--q", "2", "--n", "5")
     assert code == 3
     assert "cap" in err
 
@@ -109,7 +112,8 @@ def test_verify_graph_route_passes_when_the_enumeration_is_skipped(capsys):
     # a graph within its cap is still checked when the enumeration cap is lower
     code, out, _ = run(capsys, "verify", "--q", "2", "--n", "2", "--max-enum", "10")
     assert code == 0
-    assert "[SKIP] trace-identity: 16 matrices over cap 10" in out
+    assert "[SKIP] eigenvalues-closed-vs-charsum: 16 matrices over cap 10" in out
+    assert "[PASS] trace-identity" in out
     assert "[PASS] graph-eigenvectors" in out
 
 def test_verify_reports_graph_route_failures(capsys, monkeypatch):
@@ -137,6 +141,18 @@ def test_verify_reports_graph_route_failures(capsys, monkeypatch):
         "detail": "freshly built graph failed the simplicity scan",
     }
     assert err == ""
+
+
+def test_verify_reads_the_closed_forms_at_every_n(capsys, monkeypatch):
+    from unitgraph import spectra
+
+    closed_form = spectra.eigenvalue_closed_form
+    monkeypatch.setattr(spectra, "eigenvalue_closed_form", lambda *a: closed_form(*a) + 1)
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2")
+    assert code == 1 and err == ""
+    assert "  [FAIL] eigenvalues-closed-vs-charsum: rank 0: closed 7 != charsum 6;" in out
+    assert "  [FAIL] graph-eigenvectors: graph spectrum [(6, 1), (-2, 9), (2, 6)]\n" in out
+    assert out.endswith("failed at: eigenvalues-closed-vs-charsum\n")
 
 
 def test_prime_field_past_byte_exponents(capsys):
@@ -321,7 +337,7 @@ def test_modulus_of_any_degree_under_the_table_limit(capsys):
                  ["--q", "243", "--modulus", "1,2,0,0,0,1"]):
         code, out, _ = run(capsys, "verify", "--n", "1", *argv, "--format", "json")
         assert code == 0, argv
-        assert [c["status"] for c in json.loads(out)["checks"]] == ["pass"] * 4, argv
+        assert [c["status"] for c in json.loads(out)["checks"]] == ["pass"] * 5, argv
     code, out, _ = run(capsys, "spectrum", "--q", "32", "--n", "2", "--modulus", "1,0,1,0,0,1",
                        "--format", "csv")
     assert code == 0
@@ -468,6 +484,7 @@ def test_verify_reports_inexact_division_as_failures(capsys, monkeypatch):
     assert code == 1
     assert "[FAIL] multiplicities-formula-vs-census: rank count division left remainder 1" in out
     assert "[FAIL] trace-identity: rank count division left remainder 1" in out
+    assert "[FAIL] graph-eigenvectors: graph spectrum" in out  # no spectrum to compare with
     assert out.endswith("failed at: multiplicities-formula-vs-census\n")
     assert err == ""
 
@@ -526,7 +543,6 @@ def test_nonpositive_k_is_a_usage_error(capsys, argv, k):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["spectrum", "--p", "1021", "--n", "2"],
         ["charsum", "--p", "1021", "--n", "2"],
         ["census", "--p", "1021", "--n", "2"],
         ["export-graph", "--p", "1021", "--n", "2"],
@@ -595,9 +611,17 @@ def test_gap_sampler_limit_is_checked_before_field_tables(capsys, monkeypatch):
         (["--q", "1000000000000000003"], 10**18 + 3),
         (["--p", "1000000000000000003"], 10**18 + 3),
         (["--q", "1000000000078000000001521"], (10**12 + 39) ** 2),
+        (["--p", "1021", "--n", "2"], 1021),  # over the enumeration cap, which spectrum ignores
     ],
 )
-def test_spectrum_of_a_large_field_needs_only_p_and_k(capsys, argv, q):
+def test_spectrum_of_a_large_field_needs_only_p_and_k(capsys, monkeypatch, argv, q):
+    from unitgraph import fields
+
+    def no_tables(self):
+        raise AssertionError("field tables built for a closed-form spectrum")
+
+    monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
+    monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
     start = time.perf_counter()
     code, out, err = run(capsys, "spectrum", *argv, "--format", "json")
     assert time.perf_counter() - start < 1
@@ -654,12 +678,18 @@ def test_verify_scans_simplicity_once(capsys, monkeypatch):
 
 
 def test_verify_with_every_check_skipped_exits_3(capsys):
-    code, out, err = run(capsys, "verify", "--p", "509", "--n", "2", "--format", "json")
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "1000", "--format", "json")
     assert code == 3
     payload = json.loads(out)
     assert payload["passed"] is True
-    assert [c["status"] for c in payload["checks"]] == ["skipped"] * 3
+    assert [c["status"] for c in payload["checks"]] == ["skipped"] * 4
     assert len(err.splitlines()) == 1 and "no check ran" in err
+    # over both caps the closed-form trace check still runs
+    code, out, err = run(capsys, "verify", "--p", "509", "--n", "2", "--format", "json")
+    assert code == 0 and err == ""
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert statuses.pop("trace-identity") == "pass"
+    assert set(statuses.values()) == {"skipped"}
     # skipping only the graph checks still passes
     code, out, err = run(capsys, "verify", "--q", "2", "--n", "2", "--max-graph", "10")
     assert code == 0 and err == ""
@@ -674,17 +704,22 @@ def test_verify_decides_an_all_skip_report_before_field_tables(capsys, monkeypat
 
     monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
     monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
-    code, out, err = run(capsys, "verify", "--p", "4093", "--n", "2")
+    code, out, err = run(capsys, "verify", "--p", "4093", "--n", "1000")
     assert code == 3
     assert out == (
-        "verification, q=4093, n=2\n"
-        "  [SKIP] multiplicities-formula-vs-census: 280651248517201 matrices over cap 16777216\n"
-        "  [SKIP] trace-identity: 280651248517201 matrices over cap 16777216\n"
-        "  [SKIP] graph-checks: order 280651248517201 over graph cap 4096\n"
+        "verification, q=4093, n=1000\n"
+        "  [SKIP] eigenvalues-closed-vs-charsum: 4093^1000000 matrices over cap 16777216\n"
+        "  [SKIP] multiplicities-formula-vs-census: 4093^1000000 matrices over cap 16777216\n"
+        "  [SKIP] trace-identity: 4093^1000000 vertices: the report's numbers exceed Python's"
+        " limit for integer string conversion\n"
+        "  [SKIP] graph-checks: order 4093^1000000 over graph cap 4096\n"
     )
     assert err == "error: no check ran: every check is over a size cap\n"
+    code, out, err = run(capsys, "verify", "--p", "4093", "--n", "2")
+    assert code == 0 and err == ""  # the trace check runs on closed forms alone
+    assert "  [PASS] trace-identity: weighted eigenvalue sum = 0\n" in out
     code, out, _ = run(capsys, "verify", "--p", "7", "--k", "2", "--modulus", "1,0,1", "--format", "json")
-    assert code == 0  # at n = 3 the trace check runs on closed forms alone
+    assert code == 0
     assert [c["status"] for c in json.loads(out)["checks"]] == ["skipped"] * 2 + ["pass", "skipped"]
     # the field options are still checked in full
     for extra, message in (
@@ -703,19 +738,26 @@ def test_a_huge_n_hits_the_caps_at_once(capsys):
     assert code == 3
     assert out == (
         "verification, q=2, n=1000\n"
+        "  [SKIP] eigenvalues-closed-vs-charsum: 2^1000000 matrices over cap 16777216\n"
         "  [SKIP] multiplicities-formula-vs-census: 2^1000000 matrices over cap 16777216\n"
-        "  [SKIP] trace-identity: 2^1000000 matrices over cap 16777216\n"
+        "  [SKIP] trace-identity: 2^1000000 vertices: the report's numbers exceed Python's limit"
+        " for integer string conversion\n"
         "  [SKIP] graph-checks: order 2^1000000 over graph cap 4096\n"
     )
     assert err == "error: no check ran: every check is over a size cap\n"
     start = time.perf_counter()
-    for command, cap in (("spectrum", 16777216), ("census", 16777216), ("charsum", 16777216),
-                         ("export-graph", 4096)):
+    code, out, err = run(capsys, "spectrum", "--q", "3", "--n", "3000")
+    assert code == 3 and out == ""
+    assert err == (
+        "error: 3^9000000 vertices: the report's numbers exceed Python's limit for integer"
+        " string conversion\n"
+    )
+    for command, cap in (("census", 16777216), ("charsum", 16777216), ("export-graph", 4096)):
         code, out, err = run(capsys, command, "--q", "3", "--n", "3000")
         assert code == 3 and out == ""
         assert err == f"error: 3^9000000 matrices exceed the cap {cap}\n"
     code, out, _ = run(capsys, "verify", "--q", "3", "--n", "6000")
-    assert code == 3 and out.count(" 3^36000000 ") == 3
+    assert code == 3 and out.count(" 3^36000000 ") == 4
     assert time.perf_counter() - start < 2  # building 3^9000000 alone takes seconds
 
 
@@ -744,6 +786,7 @@ GOLDEN_RUNS = {
     "spectrum_q2_n2.txt": ["spectrum", "--q", "2", "--n", "2"],
     "verify_q2.txt": ["verify", "--q", "2"],
     "verify_q4.txt": ["verify", "--q", "4"],
+    "verify_q2_n2.txt": ["verify", "--q", "2", "--n", "2"],
     "charsum_q2_rank1.txt": ["charsum", "--q", "2", "--rank", "1"],
     "charsum_q2_label511.txt": ["charsum", "--q", "2", "--label-index", "511"],
     "census_q2.txt": ["census", "--q", "2"],

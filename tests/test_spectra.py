@@ -29,10 +29,10 @@ from unitgraph import (
     field,
     field_of_order,
     gl_order,
+    prime_power,
     rank_census,
     rank_count,
     rank_representative,
-    solve_top_rank_eigenvalue,
     spectrum_brute_force,
     spectrum_closed_form,
     trace_identity_holds,
@@ -97,6 +97,8 @@ def test_closed_form_frozen_values():
     with pytest.raises(ValueError):
         eigenvalue_closed_form(2, 4)
     with pytest.raises(ValueError):
+        eigenvalue_closed_form(2, 3, n=2)
+    with pytest.raises(ValueError):
         eigenvalue_closed_form(1, 0)
 
 
@@ -107,15 +109,22 @@ def test_closed_form_vs_independent_bruteforce():
 
 
 def test_factored_vs_expanded_transcriptions():
-    for q in range(2, 98):
+    for q in range(2, 200):
         for r in range(4):
-            assert eigenvalue_closed_form(q, r) == _eigenvalue_polynomial(q, r)
+            assert eigenvalue_closed_form(q, r, n=3) == _eigenvalue_polynomial(q, r)
 
 
 def test_charsum_equals_closed_form():
     for ctx in (F2, F3, F4):
         for r in range(4):
             assert eigenvalue_charsum_rank(ctx, 3, r) == eigenvalue_closed_form(ctx.q, r)
+    # every enumerable (q, n) up to q^(n^2) = 5^9
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in range(1, 5):
+            if q ** (n * n) <= 5**9:
+                brute = spectrum_brute_force(field_of_order(q), n)
+                closed = [eigenvalue_closed_form(q, r, n) for r in range(n + 1)]
+                assert [line.eigenvalue for line in brute.lines] == closed, (q, n)
 
 
 def test_charsum_depends_only_on_rank_exhaustive():
@@ -206,12 +215,18 @@ def test_spectrum_closed_form_frozen():
 
 
 def test_spectrum_identities_sweep():
-    for q in range(2, 28):
-        s = spectrum_closed_form(q)  # validate() runs inside
-        assert s.lines[0].multiplicity == 1
-        assert sum(l.multiplicity for l in s.lines) == q**9
-        assert sum(l.multiplicity * l.eigenvalue for l in s.lines) == 0
-        assert len({l.eigenvalue for l in s.lines}) == 4
+    for q in filter(prime_power, range(2, 30)):
+        for n in range(1, 7):
+            s = spectrum_closed_form(q, n)  # validate() runs inside
+            values = [l.eigenvalue for l in s.lines]
+            assert s.lines[0].multiplicity == 1
+            assert sum(l.multiplicity for l in s.lines) == q ** (n * n)
+            assert sum(l.multiplicity * l.eigenvalue for l in s.lines) == 0
+            assert sum(l.multiplicity * l.eigenvalue**2 for l in s.lines) == (
+                q ** (n * n) * gl_order(q, n)
+            )
+            assert len(set(values)) == n + 1
+            assert all(values[r] == -(q ** (n - r) - 1) * values[r + 1] for r in range(n))
 
 
 def test_charsum_honours_the_callers_cap(monkeypatch):
@@ -253,13 +268,22 @@ def test_spectrum_validate_errors():
     swapped = (good.lines[1], good.lines[0]) + good.lines[2:]
     with pytest.raises(CheckFailedError):
         Spectrum(2, 3, swapped).validate()
-
-
-def test_solve_top_rank_eigenvalue():
-    assert solve_top_rank_eigenvalue(2) == -8
-    assert solve_top_rank_eigenvalue(3) == -27
-    for q in range(2, 28):
-        assert solve_top_rank_eigenvalue(q) == eigenvalue_closed_form(q, 3)
+    # lambda_1 += m_2, lambda_2 -= m_1 keeps the trace at 0 but breaks the second moment
+    m1, m2 = good.lines[1].multiplicity, good.lines[2].multiplicity
+    moved = (
+        good.lines[0],
+        SpectrumLine(1, good.lines[1].eigenvalue + m2, m1),
+        SpectrumLine(2, good.lines[2].eigenvalue - m1, m2),
+        good.lines[3],
+    )
+    assert trace_identity_holds(Spectrum(2, 3, moved))
+    with pytest.raises(CheckFailedError, match="squared eigenvalues"):
+        Spectrum(2, 3, moved).validate()
+    # a repeated eigenvalue that keeps the trace and the second moment
+    repeated = tuple(SpectrumLine(r, lam, line.multiplicity)
+                     for r, (lam, line) in enumerate(zip((-21, -21, 11, -13), good.lines)))
+    with pytest.raises(CheckFailedError, match="not pairwise distinct"):
+        Spectrum(2, 3, repeated).validate()
 
 
 # ---------------------------------------------------------------------------
