@@ -6,9 +6,7 @@ contracts (identical configs and seeds give byte-identical output); the
 text format is human-oriented and may change.
 
 Exit codes: 0 success, 1 check failure, 2 usage error or failed write,
-3 size cap hit; ``EXIT_CODES`` maps exceptions to them.  Caps may also be
-set via UNITGRAPH_MAX_ENUM / UNITGRAPH_MAX_GRAPH; the command-line flags
-win over the environment.
+3 size cap hit; ``EXIT_CODES`` maps exceptions to them.
 """
 
 from __future__ import annotations
@@ -36,27 +34,9 @@ EXIT_CODES = (
 )
 
 
-def _cap(flag: Optional[int], name: str, default: int) -> int:
-    """A cap: the flag, else the environment variable, else the default."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name, str(default))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {name} is not an integer: {raw!r}")
-
-
-def _caps(args) -> tuple[int, int]:
-    return (
-        _cap(args.max_enum, "UNITGRAPH_MAX_ENUM", matrices.DEFAULT_ENUM_CAP),
-        _cap(args.max_graph, "UNITGRAPH_MAX_GRAPH", graph_mod.DEFAULT_MAX_ORDER),
-    )
-
-
 def _resolve_pk(args) -> tuple[int, int]:
     """(p, k) of the field options, once they and ``--n`` are checked."""
-    if args.q is not None and args.p is not None:
+    if args.q is not None and (args.p is not None or args.k is not None):
         raise ValueError("give either --q or --p/--k, not both")
     if args.q is not None:
         pk = prime_power(args.q)
@@ -65,9 +45,10 @@ def _resolve_pk(args) -> tuple[int, int]:
     elif args.p is not None:
         if not is_prime(args.p):
             raise ValueError(f"--p {args.p} is not a prime")
-        if args.k < 1:
-            raise ValueError(f"extension degree must be >= 1, got {args.k}")
-        pk = (args.p, args.k)
+        k = 1 if args.k is None else args.k
+        if k < 1:
+            raise ValueError(f"extension degree must be >= 1, got {k}")
+        pk = (args.p, k)
     else:
         raise ValueError("a field is required: pass --q or --p (with optional --k)")
     if getattr(args, "n", 1) < 1:
@@ -116,7 +97,6 @@ def _closed_spectrum(p: int, k: int, n: int) -> spectra.Spectrum:
 
 
 def _cmd_spectrum(args):
-    _caps(args)  # unused, but an unreadable cap variable is still a usage error
     # closed forms need no field, but a given modulus must be valid
     p, k = _resolve_field(args)[:2] if args.modulus else _resolve_pk(args)
     spectrum = _closed_spectrum(p, k, args.n)
@@ -214,12 +194,12 @@ def _verify_checks(
 
 
 def _cmd_verify(args):
-    enum_cap, graph_cap = _caps(args)
     p, k, modulus = _resolve_field(args)
     q, n = p**k, args.n
     # over both caps every check is skipped or reads only q: build no table
-    ctx = None if _over_cap(q, n * n, max(enum_cap, graph_cap)) else field(p, k, modulus=modulus)
-    checks = _verify_checks(p, k, ctx, n, enum_cap, graph_cap)
+    over_both = _over_cap(q, n * n, max(args.max_enum, args.max_graph))
+    ctx = None if over_both else field(p, k, modulus=modulus)
+    checks = _verify_checks(p, k, ctx, n, args.max_enum, args.max_graph)
     failed = [c["name"] for c in checks if c["status"] == "fail"]
     tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     lines = [f"verification, q={q}, n={n}"]
@@ -241,8 +221,7 @@ def _cmd_verify(args):
 def _cmd_charsum(args):
     if args.rank is not None and args.label_index is not None:
         raise ValueError("give either --rank or --label-index, not both")
-    enum_cap, _ = _caps(args)
-    ctx = _resolve_context(args, enum_cap)
+    ctx = _resolve_context(args, args.max_enum)
     n = args.n
     if args.label_index is not None:
         labels = [matrices.matrix_from_index(ctx, n, args.label_index)]
@@ -253,7 +232,7 @@ def _cmd_charsum(args):
         {
             "label_index": matrices.matrix_to_index(label),
             "rank": label.rank(),
-            "eigenvalue": spectra.eigenvalue_charsum(label, cap=enum_cap),
+            "eigenvalue": spectra.eigenvalue_charsum(label, cap=args.max_enum),
         }
         for label in labels
     ]
@@ -267,8 +246,7 @@ def _cmd_charsum(args):
 
 
 def _cmd_census(args):
-    enum_cap, _ = _caps(args)
-    ctx = _resolve_context(args, enum_cap)
+    ctx = _resolve_context(args, args.max_enum)
     n, q = args.n, ctx.q
     lines = [f"rank census, q={q}, n={n}"]
     rows: list[dict] = []
@@ -280,13 +258,13 @@ def _cmd_census(args):
             lines.append(f"  {label}: census {census}, closed form {closed} [{flag}]")
         return rows[-1]
 
-    census = matrices.rank_census(ctx, n, cap=enum_cap)
+    census = matrices.rank_census(ctx, n, cap=args.max_enum)
     payload: dict = {"q": q, "n": n}
     payload["ranks"] = [
         row(f"rank {r}", census[r], spectra.rank_count(q, n, r), rank=r) for r in range(n + 1)
     ]
     if n == 3:
-        grid = spectra.count_invertible_pinned(ctx, n=n, cap=enum_cap)
+        grid = spectra.count_invertible_pinned(ctx, n=n, cap=args.max_enum)
         elements = list(ctx.elements())
         lines.append("invertible counts with pinned (0,0) entry:")
         payload["corner"] = [
@@ -375,9 +353,8 @@ def _cmd_gap(args):
 
 
 def _cmd_export_graph(args):
-    _, graph_cap = _caps(args)
-    ctx = _resolve_context(args, graph_cap)
-    g = graph_mod.build_graph(ctx, args.n, max_order=graph_cap)
+    ctx = _resolve_context(args, args.max_graph)
+    g = graph_mod.build_graph(ctx, args.n, max_order=args.max_graph)
     if args.output and args.output != "-":
         try:  # a failed open, write or close
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -395,39 +372,40 @@ def _cmd_export_graph(args):
 
 
 # (flag, type, default, help) of the options every subcommand takes, then
-# of the matrix size and the caps
+# of the matrix size and of each cap
 _FIELD_OPTIONS = (
     ("--q", int, None, "field order (a prime power)"),
     ("--p", int, None, "field characteristic (alternative to --q)"),
-    ("--k", int, 1, "extension degree (with --p)"),
+    ("--k", int, None, "extension degree (with --p)"),
     ("--modulus", None, None, "comma-separated modulus coefficients, constant term first"),
 )
-_SIZE_OPTIONS = (
-    ("--n", int, 3, "matrix size (default 3)"),
-    ("--max-enum", int, None, f"matrix enumeration cap (default {matrices.DEFAULT_ENUM_CAP})"),
-    ("--max-graph", int, None, f"graph order cap (default {graph_mod.DEFAULT_MAX_ORDER})"),
-)
+_N = ("--n", int, 3, "matrix size (default 3)")
+_MAX_ENUM = ("--max-enum", int, matrices.DEFAULT_ENUM_CAP,
+             "matrix enumeration cap (default %(default)s)")
+_MAX_GRAPH = ("--max-graph", int, graph_mod.DEFAULT_MAX_ORDER,
+              "graph order cap (default %(default)s)")
 
 # name, handler, help, --format choices ("" for no --format), options after the field options
 _COMMANDS = (
-    ("spectrum", _cmd_spectrum, "eigenvalues and multiplicities", "json csv text", _SIZE_OPTIONS),
+    ("spectrum", _cmd_spectrum, "eigenvalues and multiplicities", "json csv text", (_N,)),
     ("verify", _cmd_verify, "cross-check closed forms against brute force", "json text",
-     _SIZE_OPTIONS),
+     (_N, _MAX_ENUM, _MAX_GRAPH)),
     ("charsum", _cmd_charsum, "character sums over invertible matrices", "json text", (
-        *_SIZE_OPTIONS,
+        _N, _MAX_ENUM,
         ("--rank", int, None, "use the canonical label of this rank"),
         ("--label-index", int, None, "use the label at this enumeration index"),
     )),
-    ("census", _cmd_census, "exhaustive rank and pinned-entry counts", "json text", _SIZE_OPTIONS),
+    ("census", _cmd_census, "exhaustive rank and pinned-entry counts", "json text",
+     (_N, _MAX_ENUM)),
     ("gap", _cmd_gap, "subset edge-existence reports", "json text", (
         ("--subset-file", None, None, "newline-separated enumeration indices for X"),
         ("--subset-file-y", None, None, "indices for Y (defaults to the X file)"),
         ("--random-size", int, None, "draw random subsets of this size"),
-        ("--trials", int, None, None),
+        ("--trials", int, None, "random subset pairs to draw (default 1)"),
         ("--seed", int, None, "base seed; trial t uses seed+t"),
     )),
     ("export-graph", _cmd_export_graph, "write the adjacency edge list", "", (
-        *_SIZE_OPTIONS,
+        _N, _MAX_GRAPH,
         ("--output", None, "-", "output path, or - for stdout"),
     )),
 )

@@ -124,22 +124,34 @@ def eigenvalue_closed_form(q: int, rank: int, n: int = 3) -> int:
     return (-1) ** rank * q**power * gl_order(q, n - rank)
 
 
-def _eigenvalue_polynomial(q: int, rank: int) -> int:
-    """Expanded-polynomial transcription of the n = 3 eigenvalues.
+def _krawtchouk(q: int, n: int, k: int, x: int) -> int:
+    """Delsarte's generalised Krawtchouk polynomial P_k(x) of the bilinear
+    forms scheme on Mat_n(F_q): the eigenvalue, on labels of rank x, of the
+    graph joining matrices whose difference has rank k.
 
-    Kept separate from the product form on purpose: tests assert the two
-    transcriptions agree over a sweep of q, guarding against a typo in
-    either one.
+        P_k(x) = sum_j (-1)^(k-j) q^(jn + (k-j)(k-j-1)/2) [n-j, n-k]_q [n-x, j]_q
+
+    with Gaussian binomials [a, b]_q (Delsarte, "Bilinear forms over a
+    finite field, with applications to coding theory", 1978).  Kept
+    separate from the product form on purpose: tests assert that P_n(x)
+    equals ``eigenvalue_closed_form(q, x, n)``, guarding against a typo in
+    either transcription.
     """
-    if rank == 0:
-        return q**9 - q**8 - q**7 + q**5 + q**4 - q**3
-    if rank == 1:
-        return -(q**6) + q**5 + q**4 - q**3
-    if rank == 2:
-        return q**4 - q**3
-    if rank == 3:
-        return -(q**3)
-    raise ValueError(f"rank must be in [0, 3], got {rank}")
+
+    def binomial(a: int, b: int) -> int:  # [a, b]_q, 0 outside 0 <= b <= a
+        if not 0 <= b <= a:
+            return 0
+        num = den = 1
+        for i in range(b):
+            num *= q ** (a - i) - 1
+            den *= q ** (i + 1) - 1
+        return num // den
+
+    return sum(
+        (-1) ** (k - j) * q ** (j * n + (k - j) * (k - j - 1) // 2)
+        * binomial(n - j, n - k) * binomial(n - x, j)
+        for j in range(k + 1)
+    )
 
 
 def rank_count(q: int, n: int, r: int) -> int:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from unitgraph import enumerate_matrices, field, gl_order, matrix_to_index
+from unitgraph import cli
 from unitgraph.cli import main
 
 F2 = field(2)
@@ -92,20 +93,6 @@ def test_verify_n2_json(capsys):
     assert payload["passed"] is True
     names = [c["name"] for c in payload["checks"]]
     assert "graph-eigenvectors" in names
-
-
-def test_verify_graph_skip_over_cap(capsys, monkeypatch):
-    monkeypatch.setenv("UNITGRAPH_MAX_GRAPH", "10")
-    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "2")
-    assert code == 0
-    assert "[SKIP] graph-checks" in out
-
-
-def test_verify_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("UNITGRAPH_MAX_GRAPH", "10")
-    code, out, _ = run(capsys, "verify", "--q", "2", "--n", "2", "--max-graph", "100")
-    assert code == 0
-    assert "[PASS] graph-eigenvectors" in out
 
 
 def test_verify_graph_route_passes_when_the_enumeration_is_skipped(capsys):
@@ -329,6 +316,47 @@ def test_modulus_file_option_is_rejected(capsys):
         main(["verify", "--q", "4", "--n", "1", "--modulus-file", "moduli.txt"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --modulus-file" in capsys.readouterr().err
+
+
+# (subcommand, cap flag) of every cap a subcommand declares
+DECLARED_CAPS = [
+    (name, flag)
+    for name, _, _, _, options in cli._COMMANDS
+    for flag, *_ in options
+    if flag in ("--max-enum", "--max-graph")
+]
+
+
+@pytest.mark.parametrize("command, flag", DECLARED_CAPS)
+def test_every_declared_cap_can_stop_its_subcommand(capsys, command, flag):
+    code, out, err = run(capsys, command, "--q", "2", "--n", "2", flag, "1")
+    if command != "verify":
+        assert code == 3 and out == ""
+        assert err == "error: 2^4 matrices exceed the cap 1\n"
+        return
+    assert code == 0 and err == ""
+    skipped = {line.split()[1].rstrip(":") for line in out.splitlines() if "[SKIP]" in line}
+    assert skipped == {
+        "--max-enum": {"eigenvalues-closed-vs-charsum", "multiplicities-formula-vs-census"},
+        "--max-graph": {"graph-checks"},
+    }[flag]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("spectrum", "--max-enum"),
+        ("spectrum", "--max-graph"),
+        ("charsum", "--max-graph"),
+        ("census", "--max-graph"),
+        ("export-graph", "--max-enum"),
+    ],
+)
+def test_cap_option_a_subcommand_does_not_read_is_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "2", "--n", "2", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 def test_modulus_of_any_degree_under_the_table_limit(capsys):
@@ -655,8 +683,11 @@ def test_primality_past_the_exact_bound_is_a_size_cap(capsys):
              "--seed", "0"],
             "--subset-file or --trials/--seed",
         ),
+        (["spectrum", "--k", "2"], "--q or --p/--k"),
+        (["verify", "--k", "2"], "--q or --p/--k"),
+        (["gap", "--random-size", "5", "--k", "2"], "--q or --p/--k"),
     ],
-    ids=["charsum", "gap", "gap-trials", "gap-seed"],
+    ids=["charsum", "gap", "gap-trials", "gap-seed", "spectrum-k", "verify-k", "gap-k"],
 )
 def test_conflicting_options_are_usage_errors_before_the_field(capsys, argv, q, message):
     code, out, err = run(capsys, *argv, "--q", q)

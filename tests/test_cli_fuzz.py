@@ -13,7 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitgraph.cli import main
+from unitgraph.cli import _COMMANDS, main
 
 HERE = Path(__file__).parent
 EXISTING_SUBSET = str(HERE / "golden" / "my.idx")
@@ -54,19 +54,24 @@ def optional(flag, values):
     return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
 
 
-size_options = st.tuples(
-    numbers(["1", "2", "2", "3", "3", "4", "0", "-1", "1000"]),
-    st.one_of(st.just(10**4), st.integers(0, 10**4)).map(str),
-    st.one_of(st.just(700), st.integers(0, 700)).map(str),
-).map(lambda t: ["--n", t[0], "--max-enum", t[1], "--max-graph", t[2]])
+SIZE_VALUES = {
+    "--n": numbers(["1", "2", "2", "3", "3", "4", "0", "-1", "1000"]),
+    "--max-enum": st.one_of(st.just(10**4), st.integers(0, 10**4)).map(str),
+    "--max-graph": st.one_of(st.just(700), st.integers(0, 700)).map(str),
+}
+# the size options each subcommand declares, in the order it declares them
+SIZE_OPTIONS = {
+    name: [flag for flag, *_ in options if flag in SIZE_VALUES]
+    for name, _, _, _, options in _COMMANDS
+}
 
 
 @st.composite
 def invocations(draw):
     command = draw(st.sampled_from(["spectrum", "verify", "charsum", "census", "gap", "export-graph"]))
     argv = [command] + draw(st.sampled_from(FIELDS)) + draw(st.sampled_from(MODULI))
-    if command != "gap":
-        argv += draw(size_options)
+    for flag in SIZE_OPTIONS[command]:
+        argv += [flag, draw(SIZE_VALUES[flag])]
     if command == "charsum":
         argv += draw(optional("--rank", numbers(range(-1, 5))))
         argv += draw(optional("--label-index", numbers(range(-1, 600))))

@@ -40,7 +40,7 @@ from unitgraph import (
 from unitgraph import spectra
 from unitgraph.characters import _exponent_of, _label_terms
 from unitgraph.matrices import _rank_table, matrix_from_index
-from unitgraph.spectra import _eigenvalue_polynomial
+from unitgraph.spectra import _krawtchouk
 
 F2 = field(2)
 F3 = field(3)
@@ -109,9 +109,24 @@ def test_closed_form_vs_independent_bruteforce():
 
 
 def test_factored_vs_expanded_transcriptions():
+    # the product form against Delsarte's P_n(x), the eigenvalue on rank-x labels
     for q in range(2, 200):
         for r in range(4):
-            assert eigenvalue_closed_form(q, r, n=3) == _eigenvalue_polynomial(q, r)
+            assert eigenvalue_closed_form(q, r, n=3) == _krawtchouk(q, 3, 3, r)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+        for n in range(1, 8):
+            counts = [rank_count(q, n, x) for x in range(n + 1)]
+            for x in range(n + 1):
+                assert _krawtchouk(q, n, n, x) == eigenvalue_closed_form(q, x, n), (q, n, x)
+            # P_k(0) is the valency m_k, and the P_k are orthogonal with weights m_x
+            for k in range(n + 1):
+                assert _krawtchouk(q, n, k, 0) == counts[k], (q, n, k)
+                for l in range(n + 1):
+                    inner = sum(
+                        counts[x] * _krawtchouk(q, n, k, x) * _krawtchouk(q, n, l, x)
+                        for x in range(n + 1)
+                    )
+                    assert inner == (q ** (n * n) * counts[k] if k == l else 0), (q, n, k, l)
 
 
 def test_charsum_equals_closed_form():
