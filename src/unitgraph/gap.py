@@ -18,7 +18,10 @@ a ``TheoremViolationError`` tripwire goes off.  The bound is about sets,
 so a subset that lists one matrix twice is rejected with a ``ValueError``.
 
 Every check runs on matrix enumeration indices, held by an ``IndexSubset``
-(what ``random_subset`` draws and the CLI reads).  A plain sequence of
+(what ``random_subset`` draws and the CLI reads).  A drawn subset's indices
+equal ``rng.sample(range(q^(n^2)), size)`` and leave ``rng`` where
+``rng.sample`` leaves it; ``_sample`` reads the 32-bit words of a plain
+``random.Random`` in bulk to get them.  A plain sequence of
 matrices is numbered once, on entry, into a view that keeps its objects;
 from a drawn or read view a ``Matrix`` is built only for the two matrices
 of a witness.
@@ -39,7 +42,9 @@ unrolled determinant of every b - a.  Both routes return the same pair.
 
 from __future__ import annotations
 
+import array
 import functools
+import math
 import operator
 import random
 import sys
@@ -336,18 +341,50 @@ def check_spectral_gap(
 
 def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> IndexSubset:
     """Uniform sample of ``size`` distinct matrices, reproducible from the
-    caller's seeded ``random.Random`` (indices drawn with ``rng.sample``)."""
+    caller's seeded ``random.Random``: the indices equal
+    ``rng.sample(range(q^(n^2)), size)``, and ``rng`` is left where
+    ``rng.sample`` leaves it."""
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
     _require_sample(size, ctx.p, ctx.k, n)
-    return IndexSubset(ctx, n, rng.sample(range(matrix_count(ctx, n)), size))
+    return IndexSubset(ctx, n, _sample(rng, matrix_count(ctx, n), size))
+
+
+def _sample(rng: random.Random, total: int, k: int) -> list[int]:
+    """``rng.sample(range(total), k)``, with ``rng`` left in the same state.
+
+    ``sample``'s set branch (total above its ``setsize``) reads one word
+    per draw and takes ``word >> (32 - bits)`` unless that is >= total or
+    already picked, where bits = total.bit_length() <= 32.  A plain
+    ``random.Random`` gives the same words, lowest first, from one
+    ``getrandbits(32 * m)``.  Each round draws m = the picks still missing,
+    which ``sample`` reads at least, and keeps the accepted new values in
+    order: a word adds at most one pick, so the k-th pick is the last word
+    drawn.  Any other generator, the pool branch or a wider total goes to
+    ``rng.sample`` itself.
+    """
+    setsize = 21  # copied from random.Random.sample
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if type(rng) is not random.Random or total <= setsize or total.bit_length() > 32:
+        return rng.sample(range(total), k)
+    shift = 32 - total.bit_length()
+    limit = total << shift  # word < limit  <=>  word >> shift < total
+    picks: dict[int, None] = {}
+    while len(picks) < k:
+        m = k - len(picks)
+        words = array.array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        picks.update(dict.fromkeys([w >> shift for w in words if w < limit]))
+    return list(picks)
 
 
 def _require_sample(size: int, p: int, k: int, n: int) -> None:
     """The checks of drawing ``size`` distinct n x n matrices over F_{p^k},
     decided from bit lengths first, so they need no field and no large q^(n^2)."""
     e = k * n * n  # the matrices number p^e
-    if not _over_cap(p, e, size - 1):
+    if size < 0 or not _over_cap(p, e, size - 1):
         raise ValueError(f"cannot sample {size} distinct matrices from {p**e}")
     if _over_cap(p, e, sys.maxsize):  # rng.sample needs len(range(p^e))
         raise SizeTooLargeError(

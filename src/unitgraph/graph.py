@@ -45,7 +45,7 @@ from .matrices import (
     Matrix, _det_flat, _eliminate, gl_order, matrix_count, matrix_from_index, matrix_to_index,
 )
 from .characters import _BYTE_MAX_P, _exponents
-from .spectra import Spectrum, SpectrumLine, eigenvalue_charsum
+from .spectra import Spectrum, SpectrumLine, _charsum
 
 # 4096 vertices covers every configuration the verified paths need.  The
 # eigenvector checks cost up to p - 1 popcount columns over all rows per
@@ -288,7 +288,7 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
             f"eigenvector checks at p = {p} are past the byte-exponent limit p <= {_BYTE_MAX_P}"
         )
     exps = _exponents(ctx, n, label.flat, n * n)
-    lam = eigenvalue_charsum(label)
+    lam = _charsum(label, exps[: len(exps) // ctx.q])  # the charsum's low-digit exponents
     if p == 2 and _walsh_holds(graph, exps, lam):
         return lam
     digits = bytes(range(p))

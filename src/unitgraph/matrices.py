@@ -82,8 +82,10 @@ class Matrix:
         return tuple(tuple(self.entry(i, j) for j in range(self.n)) for i in range(self.n))
 
     def to_json_dict(self) -> dict:
-        entries = [[list(e.coeffs) for e in row] for row in self.rows]
-        return {"q": self.ctx.q, "n": self.n, "entries": entries}
+        """Each entry as its coefficient list, constant term first."""
+        n, p, k = self.n, self.ctx.p, self.ctx.k
+        coeffs = [list(_digits(x, p, k)) for x in self.flat]
+        return {"q": self.ctx.q, "n": n, "entries": [coeffs[i : i + n] for i in range(0, n * n, n)]}
 
     # -- ring operations -----------------------------------------------------------
 

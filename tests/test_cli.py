@@ -809,8 +809,9 @@ def test_cap_comparison_and_printed_count_match_the_power():
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# stdout of the README examples (plus two JSON reports); these bytes are part
-# of the CLI contract, so any difference is a regression
+# stdout of the README examples (plus JSON reports: gap_q3_random.json pins the
+# seeded draws through their witnesses); these bytes are part of the CLI
+# contract, so any difference is a regression
 GOLDEN_RUNS = {
     "spectrum_q2.txt": ["spectrum", "--q", "2"],
     "spectrum_q3.json": ["spectrum", "--q", "3", "--format", "json"],
@@ -823,6 +824,9 @@ GOLDEN_RUNS = {
     "census_q2.txt": ["census", "--q", "2"],
     "gap_q2_random.txt": ["gap", "--q", "2", "--random-size", "75", "--trials", "1000", "--seed", "7"],
     "gap_q2_subset.txt": ["gap", "--q", "2", "--subset-file", str(GOLDEN / "my.idx")],
+    "gap_q3_random.json": [
+        "gap", "--q", "3", "--random-size", "759", "--trials", "3", "--seed", "2", "--format", "json"
+    ],
     "export_graph_q2_n2.txt": ["export-graph", "--q", "2", "--n", "2"],
     "census_q3.json": ["census", "--q", "3", "--format", "json"],
     "charsum_q3.json": ["charsum", "--q", "3", "--format", "json"],

@@ -426,3 +426,53 @@ def test_random_subset_decodes_like_matrix_from_index():
             assert [m.flat for m in drawn] == [m.flat for m in expected]
             assert all(m.ctx is ctx and m.n == n for m in drawn)
             assert rng.random() == ref.random()  # the same draws were consumed
+
+
+def _same_draw(seed, total, k):
+    """_sample and rng.sample on two equal generators: the same list, the same state."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert gap_mod._sample(rng, total, k) == ref.sample(range(total), k), (total, k)
+    assert rng.getstate() == ref.getstate(), (total, k)
+
+
+def test_sample_matches_rng_sample_at_every_width():
+    for bits in range(5, 33):
+        for total in (2**bits - 1, 2**bits, 2**bits + 1):
+            for k in (0, 1, 2, 5, 6, 40, 300):
+                if k < total:
+                    for seed in range(6):
+                        _same_draw(seed, total, k)
+
+
+def test_sample_matches_rng_sample_at_the_pool_threshold():
+    # sample keeps a pool up to 21 + 4^ceil(log_4(3k)) for k > 5, 21 otherwise
+    for k, setsize in ((1, 21), (5, 21), (6, 85), (21, 85), (22, 277), (759, 4117)):
+        for total in (k, k + 1, setsize - 1, setsize, setsize + 1, setsize + 2):
+            for seed in range(20):
+                _same_draw(seed, total, k)
+
+
+def test_sample_defers_to_other_generators_and_wide_totals():
+    class Counting(random.Random):
+        """Its wide draws are not its 32-bit draws side by side."""
+
+        def getrandbits(self, k):
+            self.calls = getattr(self, "calls", 0) + 1
+            return self.calls * 2654435761 % (1 << k)
+
+    for total, k in ((19683, 759), (2**20, 6), (1000, 3)):
+        rng, ref = Counting(0), Counting(0)
+        assert gap_mod._sample(rng, total, k) == ref.sample(range(total), k)
+        assert rng.calls == ref.calls
+    for total in (2**32, 2**32 + 1, 2**62):
+        for seed in range(5):
+            _same_draw(seed, total, 5)
+    F13 = field(13)
+    rng, ref = random.Random(1), random.Random(1)
+    drawn = random_subset(F13, 3, 5, rng)
+    assert drawn.indices == ref.sample(range(13**9), 5) and rng.getstate() == ref.getstate()
+
+
+def test_random_subset_rejects_a_negative_size():
+    with pytest.raises(ValueError, match="^cannot sample -1 distinct matrices from 512$"):
+        random_subset(F2, 3, -1, random.Random(0))

@@ -355,9 +355,9 @@ def test_reused_check_does_not_hide_a_wrong_eigenvalue(monkeypatch):
     label = rank_representative(F5, 2, 1)
     double = Matrix(F5, 2, tuple(2 * a % 5 for a in label.flat))
     lam = verify_eigenvector(g, label)
-    charsum = graph_mod.eigenvalue_charsum
+    charsum = graph_mod._charsum
     monkeypatch.setattr(
-        graph_mod, "eigenvalue_charsum", lambda m: charsum(m) + 5 * (m.flat == double.flat)
+        graph_mod, "_charsum", lambda m, low: charsum(m, low) + 5 * (m.flat == double.flat)
     )
     assert verify_eigenvector(g, label) == lam
     with pytest.raises(EigenvectorMismatchError, match=f"label index {matrix_to_index(double)}:"):
@@ -456,9 +456,9 @@ def test_walsh_mu_does_not_hide_a_wrong_eigenvalue(monkeypatch):
     label = rank_representative(F4, 2, 1)
     lam = verify_eigenvector(g, label)
     assert g._walsh is not None
-    charsum = graph_mod.eigenvalue_charsum
+    charsum = eigenvalue_charsum
     off = lambda m: charsum(m) + 2 * (m.flat == label.flat)  # keeps d - lambda even
-    monkeypatch.setattr(graph_mod, "eigenvalue_charsum", off)
+    monkeypatch.setattr(graph_mod, "_charsum", lambda m, low: off(m))
     monkeypatch.setitem(globals(), "eigenvalue_charsum", off)  # the oracle's lambda too
     expected = coordinate_oracle(g, label)
     assert expected[1] is not None
@@ -480,3 +480,21 @@ def test_p2_graphs_keep_no_passed_partitions():
     with pytest.raises(EigenvectorMismatchError):
         spectrum_from_graph(tampered)
     assert tampered._walsh is None and not tampered._passed
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (4, 2), (5, 2)])
+def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
+    from unitgraph import graph as graph_mod
+    from unitgraph import spectra as spectra_mod
+
+    labels = []
+
+    def spy(ctx, n, label_flat, digits):
+        labels.append(tuple(label_flat))
+        return _exponents(ctx, n, label_flat, digits)
+
+    monkeypatch.setattr(graph_mod, "_exponents", spy)
+    monkeypatch.setattr(spectra_mod, "_exponents", spy)
+    s = spectrum_from_graph(build_graph(field_of_order(q), n))
+    assert s.lines == spectrum_closed_form(q, n).lines
+    assert len(labels) == len(set(labels)) == q ** (n * n)

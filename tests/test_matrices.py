@@ -290,3 +290,13 @@ def test_json_shape():
     m = rank_representative(F4, 2, 1)
     d = m.to_json_dict()
     assert d == {"q": 4, "n": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}
+
+
+def test_json_entries_are_the_element_coefficients():
+    rng = random.Random(4)
+    for ctx in (F2, F3, F4, field(2, 3), field(3, 2), field(7)):
+        for n in (1, 2, 3):
+            for _ in range(5):
+                m = Matrix(ctx, n, tuple(rng.randrange(ctx.q) for _ in range(n * n)))
+                entries = [[list(e.coeffs) for e in row] for row in m.rows]
+                assert m.to_json_dict() == {"q": ctx.q, "n": n, "entries": entries}
