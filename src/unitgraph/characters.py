@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Sequence
+from collections.abc import Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import ContextMismatchError

@@ -14,13 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
-from . import gap as gap_mod
-from . import graph as graph_mod
-from . import matrices, spectra
+# the package registers these modules lazily: each one loads on first use
+from . import gap as gap_mod, graph as graph_mod, matrices, spectra
 from .errors import CheckFailedError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext, _over_cap, _power, field, field_modulus, is_prime, prime_power
 
@@ -56,7 +54,7 @@ def _resolve_pk(args) -> tuple[int, int]:
     return pk
 
 
-def _resolve_field(args, cap: Optional[int] = None) -> tuple[int, int, tuple[int, ...]]:
+def _resolve_field(args, cap: int | None = None) -> tuple[int, int, tuple[int, ...]]:
     """(p, k, modulus) of the field options, checked as ``field`` checks
     them but with no table built; q^(n^2) is held to ``cap`` (if given)
     first."""
@@ -69,7 +67,7 @@ def _resolve_field(args, cap: Optional[int] = None) -> tuple[int, int, tuple[int
     return p, k, field_modulus(p, k, modulus=modulus)
 
 
-def _resolve_context(args, cap: Optional[int] = None) -> FieldContext:
+def _resolve_context(args, cap: int | None = None) -> FieldContext:
     """The field of the options, built after ``_resolve_field``'s checks."""
     p, k, modulus = _resolve_field(args, cap)
     return field(p, k, modulus=modulus)
@@ -117,7 +115,7 @@ def _cmd_spectrum(args):
 
 
 def _verify_checks(
-    p: int, k: int, ctx: Optional[FieldContext], n: int, enum_cap: int, graph_cap: int
+    p: int, k: int, ctx: FieldContext | None, n: int, enum_cap: int, graph_cap: int
 ) -> list[dict]:
     """The checks of ``verify``; ``ctx`` is read only by checks under a cap."""
     q = p**k
@@ -251,7 +249,7 @@ def _cmd_census(args):
     lines = [f"rank census, q={q}, n={n}"]
     rows: list[dict] = []
 
-    def row(label: Optional[str], census: int, closed: int, **key) -> dict:
+    def row(label: str | None, census: int, closed: int, **key) -> dict:
         rows.append({**key, "census": census, "closed_form": closed, "equal": census == closed})
         if label:
             flag = "ok" if census == closed else "MISMATCH"
@@ -330,6 +328,7 @@ def _cmd_gap(args):
         ys = _read_subset(args.subset_file_y, ctx, n) if args.subset_file_y else xs
         reports.append(gap_mod.check_spectral_gap(xs, ys))
     else:
+        import random  # here, so that no other subcommand loads it
         for t in range(args.trials or 1):  # --trials 0 was refused above
             trial_seed = (args.seed or 0) + t
             rng = random.Random(trial_seed)
@@ -382,7 +381,7 @@ _FIELD_OPTIONS = (
 _N = ("--n", int, 3, "matrix size (default 3)")
 _MAX_ENUM = ("--max-enum", int, matrices.DEFAULT_ENUM_CAP,
              "matrix enumeration cap (default %(default)s)")
-_MAX_GRAPH = ("--max-graph", int, graph_mod.DEFAULT_MAX_ORDER,
+_MAX_GRAPH = ("--max-graph", int, matrices.DEFAULT_MAX_ORDER,
               "graph order cap (default %(default)s)")
 
 # name, handler, help, --format choices ("" for no --format), options after the field options
@@ -430,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines, verdict = args.func(args)

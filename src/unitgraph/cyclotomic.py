@@ -17,31 +17,27 @@ A sum that ought to be a plain integer but is not collapses loudly via
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Sequence, Union
+from collections.abc import Sequence
 
 from .errors import ContextMismatchError, NonPrimeError, NotRationalError
-from .fields import is_prime
+from .fields import Frozen, _setattr, is_prime
 
 
 # the primality of a root order is checked once per p, not once per value
 _is_prime_order = functools.lru_cache(maxsize=64)(is_prime)
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(Frozen):
     """An element of Z[zeta_p] in canonical form (last coefficient zero)."""
 
-    p: int
-    coeffs: tuple[int, ...]  # given as any sequence of p ints, kept as the canonical tuple
-
-    def __post_init__(self):
-        if not _is_prime_order(self.p):
-            raise NonPrimeError(f"root order {self.p} is not prime")
-        if len(self.coeffs) != self.p:
-            raise ValueError(f"expected {self.p} coefficients, got {len(self.coeffs)}")
-        last = self.coeffs[-1]
-        object.__setattr__(self, "coeffs", tuple(c - last for c in self.coeffs))
+    def __init__(self, p: int, coeffs: Sequence[int]):  # p ints, kept as the canonical tuple
+        if not _is_prime_order(p):
+            raise NonPrimeError(f"root order {p} is not prime")
+        if len(coeffs) != p:
+            raise ValueError(f"expected {p} coefficients, got {len(coeffs)}")
+        last = coeffs[-1]
+        _setattr(self, "p", p)
+        _setattr(self, "coeffs", tuple(c - last for c in coeffs))
 
     # -- constructors --------------------------------------------------------
 
@@ -93,7 +89,7 @@ class Cyclotomic:
     def __neg__(self) -> "Cyclotomic":
         return Cyclotomic(self.p, [-a for a in self.coeffs])
 
-    def __mul__(self, other: Union["Cyclotomic", int]) -> "Cyclotomic":
+    def __mul__(self, other: Cyclotomic | int) -> Cyclotomic:
         if isinstance(other, int):
             return Cyclotomic(self.p, [a * other for a in self.coeffs])
         self._check(other)
@@ -144,6 +140,9 @@ class Cyclotomic:
         if not isinstance(other, Cyclotomic):
             return NotImplemented
         return self.p == other.p and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.p, self.coeffs))
 
     def __repr__(self):
         if self.is_integer():

@@ -35,8 +35,8 @@ import contextlib
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+import operator
+from collections.abc import Iterator, Sequence
 
 from .errors import (
     CheckFailedError,
@@ -49,6 +49,8 @@ from .errors import (
 # Tables are dense q x q; anything bigger than this is outside the design
 # scale of the package (exhaustive enumeration work tops out at q = 27).
 _MAX_TABLE_ORDER = 4096
+# how the hot value types store a field (see ``Frozen``): one global load each
+_setattr = object.__setattr__
 
 
 def _over_cap(q: int, e: int, cap: int) -> bool:
@@ -93,7 +95,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_power(q: int) -> Optional[tuple[int, int]]:
+def prime_power(q: int) -> tuple[int, int] | None:
     """Decompose q as p^k with p prime, or return None.
 
     Write q = m^k with m no perfect power; q is a prime power exactly when
@@ -184,7 +186,37 @@ def _check_irreducible(modulus: Sequence[int], p: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# field context and elements
+# the value types: their base, the field context and its elements
+
+
+class Frozen:
+    """Base of the immutable value types: the fields are the parameters of
+    ``__init__``, which stores them once (hot types use ``_setattr``, which
+    keeps CPython's inline attribute values, and define ``__eq__`` and
+    ``__hash__`` on the field tuple).  Then read-only; equal, hashed and shown by the fields."""
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+        cls._values = operator.attrgetter(*cls._fields)  # a tuple: every type has two or more
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
 
 
 def _checked_modulus(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
@@ -202,8 +234,7 @@ def _checked_modulus(p: int, k: int, modulus: Sequence[int]) -> tuple[int, ...]:
     return modulus
 
 
-@dataclass(frozen=True)
-class FieldContext:
+class FieldContext(Frozen):
     """A finite field F_{p^k} with dense arithmetic tables.
 
     Identity is structural: two contexts with the same (p, k, modulus)
@@ -211,14 +242,20 @@ class FieldContext:
     independently built contexts.  Instances are immutable.
     """
 
-    p: int
-    k: int
-    modulus: tuple[int, ...]  # given as any sequence, kept reduced mod p
-
-    def __post_init__(self):
-        object.__setattr__(self, "modulus", _checked_modulus(self.p, self.k, self.modulus))
-        object.__setattr__(self, "q", self.p**self.k)
+    def __init__(self, p: int, k: int, modulus: Sequence[int]):  # kept reduced mod p
+        _setattr(self, "p", p)
+        _setattr(self, "k", k)
+        _setattr(self, "modulus", _checked_modulus(p, k, modulus))
+        _setattr(self, "q", p**k)
         self._build_tables()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self):
         if self.k == 1:
@@ -299,7 +336,7 @@ class FieldContext:
 
     # -- element construction ------------------------------------------------
 
-    def element(self, value: Union[int, Sequence[int], "FieldElement"]) -> "FieldElement":
+    def element(self, value: int | Sequence[int] | FieldElement) -> FieldElement:
         """Build an element from an index, a coefficient list, or itself."""
         if isinstance(value, FieldElement):
             if value.ctx != self:
@@ -326,16 +363,24 @@ class FieldContext:
             yield FieldElement(self, i)
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Frozen):
     """An element of a ``FieldContext``, immutable and hashable.
 
     Supports +, -, *, unary -, ``inverse()`` and division; mixing elements
     from different contexts raises ``ContextMismatchError``.
     """
 
-    ctx: FieldContext
-    index: int
+    def __init__(self, ctx: FieldContext, index: int):
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "index", index)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.index) == (other.ctx, other.index)
+
+    def __hash__(self):
+        return hash((self.ctx, self.index))
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -406,7 +451,7 @@ def _cached_context(p: int, k: int, modulus: tuple[int, ...]) -> FieldContext:
     return FieldContext(p, k, modulus)
 
 
-def field_modulus(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> tuple[int, ...]:
+def field_modulus(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> tuple[int, ...]:
     """The modulus ``field`` would build F_{p^k} with, after every check
     it makes, without building any table.
 
@@ -434,12 +479,12 @@ def field_modulus(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -
     return _checked_modulus(p, k, modulus)
 
 
-def field(p: int, k: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldContext:
+def field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> FieldContext:
     """Build (or fetch from cache) the field F_{p^k} (see ``field_modulus``)."""
     return _cached_context(p, k, field_modulus(p, k, modulus))
 
 
-def field_of_order(q: int, modulus: Optional[Sequence[int]] = None) -> FieldContext:
+def field_of_order(q: int, modulus: Sequence[int] | None = None) -> FieldContext:
     """Build the field of order q, factoring q = p^k automatically."""
     pk = prime_power(q)
     if pk is None:

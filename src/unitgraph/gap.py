@@ -48,23 +48,19 @@ import math
 import operator
 import random
 import sys
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext, _digits, _over_cap, _power
+from .fields import FieldContext, Frozen, _digits, _over_cap, _power
 from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _rank_table
 from .matrices import matrix_count, matrix_from_index, matrix_to_index
 from .spectra import eigenvalue_closed_form
 
 
-@dataclass(frozen=True)
-class GapThreshold:
-    q: int
-    n_star: Fraction
-    integer_bound: int
+class GapThreshold(Frozen):
+    def __init__(self, q: int, n_star: Fraction, integer_bound: int):
+        self.__dict__.update(q=q, n_star=n_star, integer_bound=integer_bound)
 
 
 def spectral_threshold(q: int) -> GapThreshold:
@@ -91,37 +87,23 @@ def max_nontrivial_eigenvalue(q: int) -> int:
     return max(abs(eigenvalue_closed_form(q, r)) for r in (1, 2, 3))
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(Frozen):
     """Outcome of one subset-pair query, JSON-serializable in full."""
 
-    q: int
-    n_star_num: int
-    n_star_den: int
-    integer_bound: int
-    size_x: int
-    size_y: int
-    guaranteed: bool
-    witness: Optional[tuple[Matrix, Matrix]]
-    seed: Optional[int] = None
+    def __init__(self, q: int, n_star_num: int, n_star_den: int, integer_bound: int, size_x: int,
+                 size_y: int, guaranteed: bool, witness: tuple[Matrix, Matrix] | None,
+                 seed: int | None = None):
+        self.__dict__.update(
+            q=q, n_star_num=n_star_num, n_star_den=n_star_den, integer_bound=integer_bound,
+            size_x=size_x, size_y=size_y, guaranteed=guaranteed, witness=witness, seed=seed,
+        )
 
     def to_json_dict(self) -> dict:
+        witness = self.witness and dict(zip("ab", map(Matrix.to_json_dict, self.witness)))
         return {
-            "q": self.q,
-            "n_star_num": self.n_star_num,
-            "n_star_den": self.n_star_den,
-            "integer_bound": self.integer_bound,
-            "set_sizes": [self.size_x, self.size_y],
-            "guaranteed": self.guaranteed,
-            "witness": (
-                None
-                if self.witness is None
-                else {
-                    "a": self.witness[0].to_json_dict(),
-                    "b": self.witness[1].to_json_dict(),
-                }
-            ),
-            "seed": self.seed,
+            "q": self.q, "n_star_num": self.n_star_num, "n_star_den": self.n_star_den,
+            "integer_bound": self.integer_bound, "set_sizes": [self.size_x, self.size_y],
+            "guaranteed": self.guaranteed, "witness": witness, "seed": self.seed,
         }
 
 
@@ -177,7 +159,7 @@ def _views(xs: Sequence[Matrix], ys: Sequence[Matrix]) -> tuple[IndexSubset, Ind
 
 def find_invertible_difference(
     xs: Sequence[Matrix], ys: Sequence[Matrix]
-) -> Optional[tuple[Matrix, Matrix]]:
+) -> tuple[Matrix, Matrix] | None:
     """First (a, b) in input order (a over xs outer, b over ys inner) with
     b - a invertible, or None.  Note b - a invertible forces b != a, so a
     single-set query never returns a degenerate pair.  The pair is the
@@ -190,7 +172,7 @@ def find_invertible_difference(
 
 def _pairwise_scan(
     ctx: FieldContext, n: int, xs: list[int], ys: list[int]
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """The scan by one unrolled determinant per pair; the positions (i, j)
     of the first hit.  ys is decoded once, each a when it is reached."""
     q, add, neg = ctx.q, ctx._add, ctx._neg
@@ -261,7 +243,7 @@ _MEMO_BYTES = 1 << 26  # a scan drops its memoised masks when they pass 64 MiB
 
 def _table_scan(
     ctx: FieldContext, n: int, xs: list[int], ys: list[int]
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """The scan by hyperplane masks; the positions (i, j) of the first hit.
 
     Each block of Y is encoded once, one column per row position: bytes
@@ -303,7 +285,7 @@ def _table_scan(
 
 
 def check_spectral_gap(
-    xs: Sequence[Matrix], ys: Sequence[Matrix], seed: Optional[int] = None
+    xs: Sequence[Matrix], ys: Sequence[Matrix], seed: int | None = None
 ) -> GapReport:
     """Run the subset test and the exhaustive witness scan for n = 3.
 

@@ -35,34 +35,25 @@ with a row that misses, takes the popcount route above.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import IO, Iterator, Sequence
+from collections.abc import Iterator, Sequence
+from io import TextIOBase
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
-from .fields import FieldContext, _all_digits, _over_cap, _power
-from .matrices import (
-    Matrix, _det_flat, _eliminate, gl_order, matrix_count, matrix_from_index, matrix_to_index,
-)
+from .fields import FieldContext, Frozen, _all_digits, _over_cap, _power
+from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _eliminate, gl_order, matrix_count
+from .matrices import matrix_from_index, matrix_to_index
 from .characters import _BYTE_MAX_P, _exponents
 from .spectra import Spectrum, SpectrumLine, _charsum
 
-# 4096 vertices covers every configuration the verified paths need.  The
-# eigenvector checks cost up to p - 1 popcount columns over all rows per
-# label and read the exponents as bytes, so they refuse p > 256.  Larger
-# graphs are opt-in via the override; the simplicity scan holds N^2 bytes
-# (4 GiB at 65536 vertices).
-DEFAULT_MAX_ORDER = 4096
-
-
-@dataclass(frozen=True, eq=False)
-class CayleyGraph:
+class CayleyGraph(Frozen):
     """The invertibility graph, materialized as packed adjacency bit rows;
     vertex i is the matrix with enumeration index i."""
 
-    ctx: FieldContext
-    n: int
-    rows: tuple[int, ...]
+    __eq__, __hash__ = object.__eq__, object.__hash__  # graphs compare by identity
+
+    def __init__(self, ctx: FieldContext, n: int, rows: tuple[int, ...]):
+        self.__dict__.update(ctx=ctx, n=n, rows=rows)
 
     @property
     def order(self) -> int:
@@ -368,7 +359,7 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
     return Spectrum(ctx.q, n, lines).validate()
 
 
-def export_edges(graph: CayleyGraph, fh: IO[str]) -> int:
+def export_edges(graph: CayleyGraph, fh: TextIOBase) -> int:
     """Write the sparse edge list (``i j`` per line, i < j); returns count."""
     count = 0
     for i, j in graph.edges():

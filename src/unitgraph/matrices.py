@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import ContextMismatchError, SizeTooLargeError
-from .fields import FieldContext, FieldElement, _all_digits, _digits, _number, _over_cap, _power
+from .fields import FieldContext, FieldElement, Frozen
+from .fields import _all_digits, _digits, _number, _over_cap, _power, _setattr
 
 # Streams larger than this refuse to start rather than run for hours;
 # override per call where the caller knows better.  2^24 covers 5^9 =
@@ -37,22 +37,32 @@ from .fields import FieldContext, FieldElement, _all_digits, _digits, _number, _
 # n = 2, 64^4 = 2^24.
 DEFAULT_ENUM_CAP = 2**24
 
-EntryLike = Union[FieldElement, int]
+# ``graph``'s order cap, here so the CLI reads it without loading ``graph``: 4096 vertices
+# cover every verified configuration; more are opt-in (the simplicity scan holds N^2 bytes).
+DEFAULT_MAX_ORDER = 4096
+
+EntryLike = FieldElement | int
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Frozen):
     """An immutable n x n matrix over a ``FieldContext``."""
 
-    ctx: FieldContext
-    n: int
-    flat: tuple[int, ...]
+    def __init__(self, ctx: FieldContext, n: int, flat: tuple[int, ...]):
+        if n < 1:
+            raise ValueError(f"matrix dimension must be >= 1, got {n}")
+        if len(flat) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(flat)}")
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "n", n)
+        _setattr(self, "flat", flat)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"matrix dimension must be >= 1, got {self.n}")
-        if len(self.flat) != self.n * self.n:
-            raise ValueError(f"expected {self.n * self.n} entries, got {len(self.flat)}")
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ctx, self.n, self.flat) == (other.ctx, other.n, other.flat)
+
+    def __hash__(self):
+        return hash((self.ctx, self.n, self.flat))
 
     # -- construction ----------------------------------------------------------
 

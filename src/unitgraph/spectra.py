@@ -28,13 +28,11 @@ integer raises rather than rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
-from typing import Optional
 
 from .characters import _BYTE_MAX_P, _exponents, _shift_tables
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, InexactDivisionError
-from .fields import FieldContext
+from .fields import FieldContext, Frozen
 from .matrices import (
     DEFAULT_ENUM_CAP,
     Matrix,
@@ -45,20 +43,16 @@ from .matrices import (
 )
 
 
-@dataclass(frozen=True)
-class SpectrumLine:
-    rank: int
-    eigenvalue: int
-    multiplicity: int
+class SpectrumLine(Frozen):
+    def __init__(self, rank: int, eigenvalue: int, multiplicity: int):
+        self.__dict__.update(rank=rank, eigenvalue=eigenvalue, multiplicity=multiplicity)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Frozen):
     """Eigenvalues with multiplicities, one line per label rank 0..n."""
 
-    q: int
-    n: int
-    lines: tuple[SpectrumLine, ...]
+    def __init__(self, q: int, n: int, lines: tuple[SpectrumLine, ...]):
+        self.__dict__.update(q=q, n=n, lines=lines)
 
     def validate(self) -> "Spectrum":
         """Check the structural identities; raises CheckFailedError on failure.
@@ -92,8 +86,8 @@ class Spectrum:
             raise CheckFailedError(f"eigenvalues not pairwise distinct: {values}")
         return self
 
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "lines": list(map(asdict, self.lines))}
+    def to_json_dict(self) -> dict:  # a line's instance dict holds its three fields
+        return {"q": self.q, "n": self.n, "lines": [dict(vars(line)) for line in self.lines]}
 
     def to_csv(self) -> str:
         rows = ["rank,eigenvalue,multiplicity"]
@@ -217,7 +211,7 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     return _charsum(label)
 
 
-def _charsum(label: Matrix, low: Optional[bytes] = None) -> int:
+def _charsum(label: Matrix, low: bytes | None = None) -> int:
     """``eigenvalue_charsum`` without the cap check.  ``low``, when given,
     is the label's exponent bytes over the low n^2 - 1 digits, the first
     q^(n^2 - 1) bytes of its ``_exponents``; otherwise they are computed."""
