@@ -329,7 +329,15 @@ def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> I
     if n < 1:
         raise ValueError(f"matrix dimension must be >= 1, got {n}")
     _require_sample(size, ctx.p, ctx.k, n)
-    return IndexSubset(ctx, n, _sample(rng, matrix_count(ctx, n), size))
+    return _drawn_view(ctx, n, _sample(rng, matrix_count(ctx, n), size))
+
+
+def _drawn_view(ctx: FieldContext, n: int, indices: list[int]) -> IndexSubset:
+    """An ``IndexSubset`` of indices ``_sample`` has just drawn in
+    [0, q^(n^2)), built without ``__init__``'s range check."""
+    view = IndexSubset.__new__(IndexSubset)
+    view.ctx, view.n, view.indices, view._built = ctx, n, indices, {}
+    return view
 
 
 def _sample(rng: random.Random, total: int, k: int) -> list[int]:

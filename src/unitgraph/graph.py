@@ -19,9 +19,13 @@ character exponent once per label, then count neighbors per bucket with
 bitwise AND.  The counts are compared with the eigenvalue as integers,
 which is exact: sum_e counts[e] zeta_p^e determines counts up to adding a
 constant to every entry.  On a regular graph that makes every bucket but
-the last one column comparison over all vertices, and labels whose
-buckets and eigenvalue match an earlier passed check (the F_p-multiples
-of a label) reuse it.
+one largest a single column comparison over all vertices, and labels
+whose buckets and eigenvalue match an earlier passed check (the
+F_p-multiples of a label) reuse it.  When every such bucket fits a byte
+(N / p < 256) the graph also keeps its adjacency columns packed one byte
+per vertex, N^2 bytes, and a bucket's whole column of counts is one sum
+of big integers, compared with its expected column as one integer; the
+popcounts then run only for a check that misses, and for larger buckets.
 
 At p = 2 a vertex index is an F_2-vector, matrix addition is XOR and
 every character is a Walsh function (-1)^(u . v), so coordinate v of
@@ -35,6 +39,7 @@ with a row that misses, takes the popcount route above.
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterator, Sequence
 from io import TextIOBase
 
@@ -69,10 +74,26 @@ class CayleyGraph(Frozen):
         return all(row.bit_count() == self.degree for row in self.rows)
 
     @functools.cached_property
-    def _passed(self) -> set[tuple[frozenset[int], int]]:
+    def _passed(self) -> set[tuple[bytes, int]]:
         """(partition into exponent buckets, lambda) pairs that passed
-        ``verify_eigenvector`` on this graph at odd p."""
+        ``verify_eigenvector`` on this graph at odd p, each partition as
+        ``_partition_key`` spells it."""
         return set()
+
+    @functools.cached_property
+    def _columns(self) -> tuple[int, ...] | None:
+        """Column u of the adjacency matrix packed one byte per vertex: byte
+        v of int u is A[v][u], read off the rows' bits (N^2 bytes).  None
+        when N / p, the size of a character's bucket, passes 255, so that
+        its neighbor counts would not fit a byte."""
+        order = self.order
+        if order // self.ctx.p > 255:
+            return None
+        m = _spelled(self)  # its column N-1-u is column u of A, vertex N-1 first
+        return tuple(
+            int.from_bytes(m[order - 1 - u::order].translate(_BYTE_BITS), "big")
+            for u in range(order)
+        )
 
     @functools.cached_property
     def _walsh(self) -> tuple[int, ...] | None:
@@ -149,6 +170,7 @@ def _bitset(indicator: bytes) -> int:
 
 
 _ASCII_DIGITS = b"01".ljust(256, b"?")  # bytes 0 and 1 to "0" and "1"
+_BYTE_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _translated_rows(p: int, order: int, bitmap: int) -> tuple[int, ...]:
@@ -175,14 +197,20 @@ def _translated_rows(p: int, order: int, bitmap: int) -> tuple[int, ...]:
 
 def is_simple(graph: CayleyGraph) -> bool:
     """Bit-exact scan for a zero diagonal and symmetry (bits past the order
-    are ignored).  Rows N-1 down to 0, as N binary digits each, spell the
-    adjacency matrix with both indices reversed (about N^2 bytes at peak):
-    row i must equal column i and the diagonal hold no 1."""
+    are ignored) on the ``_spelled`` matrix: row i must equal column i and
+    the diagonal hold no 1."""
+    n, m = graph.order, _spelled(graph)
+    return b"1" not in m[:: n + 1] and all(m[i * n:(i + 1) * n] == m[i::n] for i in range(n))
+
+
+def _spelled(graph: CayleyGraph) -> bytearray:
+    """Rows N-1 down to 0 as N binary digits each, b"0" or b"1": the
+    adjacency matrix with both indices reversed, N^2 bytes."""
     n, full = graph.order, (1 << graph.order) - 1
     m = bytearray(n * n)
     for i, row in enumerate(reversed(graph.rows)):
         m[i * n:(i + 1) * n] = f"{row & full:0{n}b}".encode()
-    return b"1" not in m[:: n + 1] and all(m[i * n:(i + 1) * n] == m[i::n] for i in range(n))
+    return m
 
 
 def _walsh_hadamard(bits: int, order: int) -> int:
@@ -250,22 +278,23 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
 
     v has the character value zeta_p^e_v at every vertex v; lambda is the
     independent character sum over the invertible matrices.  The vertices
-    are bucketed by exponent into p bit sets, and coordinate v of A v is
-    sum_e counts[e] zeta_p^e, where counts[e] is the popcount of row v
-    against bucket e.  On a regular graph of degree d that equals
+    are bucketed by exponent, and coordinate v of A v is
+    sum_e counts[e] zeta_p^e, where counts[e] is the number of v's
+    neighbors in bucket e.  On a regular graph of degree d that equals
     lambda zeta_p^e_v exactly when every count is c = (d - lambda) / p but
-    counts[e_v] = c + lambda, so the check is p - 1 whole columns, each
-    compared with its expected column by one list ``==`` (the last column
-    is d minus the others).  Otherwise the coordinate loop decides, and
-    names the first failing vertex.  A passed check depends only on lambda
-    and the partition into buckets, which the F_p-multiples of a label
-    share, so the graph keeps the passed pairs: a label that computes its
-    own partition and lambda equal to one skips the popcounts (at odd p
-    only: at p = 2 no other label shares a partition).  At p = 2 a label
-    whose exponents are the Walsh function of u and whose lambda equals
-    the graph's transform-checked mu_u passes without popcounts; a graph
-    with a row that misses, or a lambda that differs, takes the columns
-    and the coordinate loop.  Returns lambda on success.
+    counts[e_v] = c + lambda, so the check is one column of counts per
+    bucket but one largest (``_columns_hold``): a big-integer sum of
+    byte-packed adjacency columns where a bucket fits a byte, else
+    popcounts of the rows.  A column that misses sends the label to the
+    popcounts of all p buckets and the coordinate loop, which decides and
+    names the first failing vertex.  A passed check depends only on
+    lambda and the partition into buckets, which the F_p-multiples of a
+    label share, so at odd p the graph keeps the passed pairs and a label
+    with an equal pair skips the columns.  At p = 2 a label whose
+    exponents are the Walsh function of u and whose lambda equals the
+    graph's transform-checked mu_u passes without columns; a graph with a
+    row that misses, or a lambda that differs, takes the columns.
+    Returns lambda on success.
 
     Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
     fit a byte.
@@ -282,20 +311,15 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     lam = _charsum(label, exps[: len(exps) // ctx.q])  # the charsum's low-digit exponents
     if p == 2 and _walsh_holds(graph, exps, lam):
         return lam
-    digits = bytes(range(p))
-    marks = [bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p)]
-    buckets = [_bitset(exps.translate(mark)) for mark in marks]
-    key = (frozenset(buckets), lam)
-    if key in graph._passed:
-        return lam
+    if p > 2:  # at p = 2 no other label has this partition
+        key = (_partition_key(exps, p), lam)
+        if key in graph._passed:
+            return lam
 
     c, r = divmod(graph.degree - lam, p)
-    columns_hold = r == 0 and graph._regular and all(
-        list(map(int.bit_count, map(bucket.__and__, graph.rows)))
-        == list(map((c, c + lam).__getitem__, exps.translate(mark)))
-        for bucket, mark in zip(buckets[:-1], marks)
-    )
-    if not columns_hold:  # decide coordinate by coordinate, and name the first failure
+    if not (r == 0 and graph._regular and _columns_hold(graph, exps, c, lam)):
+        # decide coordinate by coordinate, and name the first failure
+        buckets = [_bitset(exps.translate(mark)) for mark in _marks(p)]
         columns = [list(map(int.bit_count, map(bucket.__and__, graph.rows))) for bucket in buckets]
         for v, (counts, e) in enumerate(zip(zip(*columns), exps)):
             if not _coordinate_holds(counts, lam, e):
@@ -306,9 +330,56 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
                     f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
                     coordinate=v,
                 )
-    if p > 2:  # at p = 2 no other label has this partition
+    if p > 2:
         graph._passed.add(key)
     return lam
+
+
+@functools.lru_cache(maxsize=None)
+def _marks(p: int) -> tuple[bytes, ...]:
+    """Per exponent e, the translation of exponent bytes to 1 at e, else 0."""
+    digits = bytes(range(p))
+    return tuple(bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p))
+
+
+def _partition_key(exps: bytes, p: int) -> bytes:
+    """The exponents relabelled 0, 1, ... in order of first appearance:
+    two labels get the same key exactly when they bucket the vertices the
+    same way."""
+    order = bytes(sorted((e for e in range(p) if e in exps), key=exps.find))
+    return exps.translate(bytes.maketrans(order, bytes(range(len(order)))))
+
+
+def _columns_hold(graph: CayleyGraph, exps: bytes, c: int, lam: int) -> bool:
+    """On a regular graph with d - lambda = p c: every bucket B but one
+    largest has |N(v) & B| = c + lambda [v in B] at every vertex v (the
+    largest bucket's count is then d minus the others).
+
+    With packed columns, B's column sum is A 1_B, |N(v) & B| in byte v,
+    with no appeal to symmetry, and must equal c * ONES + lambda * 1_B as
+    one integer: exact while |B| < 256 and the expected digits lie in
+    [0, |B|], as the guard asks.  Otherwise each bucket is a popcount
+    column compared as a list.
+    """
+    columns = graph._columns
+    flags = [exps.translate(mark) for mark in _marks(graph.ctx.p)]
+    sizes = [f.count(1) for f in flags]
+    largest = sizes.index(max(sizes))
+    del flags[largest], sizes[largest]
+    if columns is None:
+        return all(
+            list(map(int.bit_count, map(_bitset(f).__and__, graph.rows)))
+            == list(map((c, c + lam).__getitem__, f))
+            for f in flags
+        )
+    ones = int.from_bytes(b"\1" * len(exps), "little")
+    for f, size in zip(flags, sizes):
+        digits = (c, c + lam) if size else (c,)  # c + lambda only at B's bytes
+        if not (size < 256 and 0 <= min(digits) and max(digits) <= size):
+            return False
+        if sum(itertools.compress(columns, f)) != c * ones + lam * int.from_bytes(f, "little"):
+            return False
+    return True
 
 
 def _walsh_holds(graph: CayleyGraph, exps: bytes, lam: int) -> bool:

@@ -810,8 +810,9 @@ def test_cap_comparison_and_printed_count_match_the_power():
 GOLDEN = Path(__file__).parent / "golden"
 
 # stdout of the README examples (plus JSON reports: gap_q3_random.json pins the
-# seeded draws through their witnesses); these bytes are part of the CLI
-# contract, so any difference is a regression
+# seeded draws through their witnesses; verify_q3_n2.txt and verify_q5_n2.json
+# pin the odd-p graph route); these bytes are part of the CLI contract, so any
+# difference is a regression
 GOLDEN_RUNS = {
     "spectrum_q2.txt": ["spectrum", "--q", "2"],
     "spectrum_q3.json": ["spectrum", "--q", "3", "--format", "json"],
@@ -819,6 +820,8 @@ GOLDEN_RUNS = {
     "verify_q2.txt": ["verify", "--q", "2"],
     "verify_q4.txt": ["verify", "--q", "4"],
     "verify_q2_n2.txt": ["verify", "--q", "2", "--n", "2"],
+    "verify_q3_n2.txt": ["verify", "--q", "3", "--n", "2"],
+    "verify_q5_n2.json": ["verify", "--q", "5", "--n", "2", "--format", "json"],
     "charsum_q2_rank1.txt": ["charsum", "--q", "2", "--rank", "1"],
     "charsum_q2_label511.txt": ["charsum", "--q", "2", "--label-index", "511"],
     "census_q2.txt": ["census", "--q", "2"],

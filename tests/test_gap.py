@@ -476,3 +476,22 @@ def test_sample_defers_to_other_generators_and_wide_totals():
 def test_random_subset_rejects_a_negative_size():
     with pytest.raises(ValueError, match="^cannot sample -1 distinct matrices from 512$"):
         random_subset(F2, 3, -1, random.Random(0))
+
+
+def test_drawn_views_skip_the_range_check_that_built_views_keep(monkeypatch):
+    for q in (2, 3, 4):
+        ctx = field_of_order(q)
+        for bad in ([q**9], [-1], [0, q**9 - 1, q**9]):
+            with pytest.raises(ValueError, match="out of range"):
+                IndexSubset(ctx, 3, bad)
+    drawn = random_subset(F3, 3, 759, random.Random(3))
+    built = IndexSubset(F3, 3, list(drawn.indices))
+    assert type(drawn) is IndexSubset and len(drawn) == len(built) == 759
+    assert [m.flat for m in drawn] == [m.flat for m in built]
+    assert drawn[7] is drawn[7] and drawn[2:4] == [drawn[2], drawn[3]]
+
+    def checked(*args):
+        raise AssertionError("a drawn view went through the range check")
+
+    monkeypatch.setattr(IndexSubset, "__init__", checked)
+    assert random_subset(F3, 3, 759, random.Random(3)).indices == drawn.indices

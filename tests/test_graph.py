@@ -498,3 +498,127 @@ def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
     s = spectrum_from_graph(build_graph(field_of_order(q), n))
     assert s.lines == spectrum_closed_form(q, n).lines
     assert len(labels) == len(set(labels)) == q ** (n * n)
+
+
+# ---------------------------------------------------------------------------
+# odd p: byte-packed column sums wherever a bucket fits a byte (N / p < 256)
+
+
+def moved_graph(graph, a, b, b2):
+    """Row a with its edge to b moved to b2, one way only: every row keeps
+    its degree, but columns b and b2 and the symmetry do not."""
+    rows = list(graph.rows)
+    rows[a] ^= 1 << b | 1 << b2
+    return CayleyGraph(graph.ctx, graph.n, tuple(rows))
+
+
+def transposed(graph):
+    rows = [0] * graph.order
+    for v, row in enumerate(graph.rows):
+        for u in range(graph.order):
+            rows[u] |= (row >> u & 1) << v
+    return CayleyGraph(graph.ctx, graph.n, tuple(rows))
+
+
+def test_packed_columns_are_the_adjacency_columns():
+    g = build_graph(F3, 2)
+    moved = moved_graph(g, 4, next(j for j in range(81) if g.has_edge(4, j)), 4)
+    for graph in (g, moved):
+        assert len(graph._columns) == graph.order
+        assert all(
+            graph._columns[u] >> 8 * v & 255 == graph.rows[v] >> u & 1
+            for u in range(graph.order) for v in range(graph.order)
+        )
+        assert graph._columns[0] >> 8 * graph.order == 0
+
+
+def test_packed_sums_check_rows_not_columns_at_every_label():
+    # regular but not symmetric: a sum of rows (A^T 1_B) in place of the sum
+    # of columns (A 1_B), the same check run on the transpose, would pass
+    # some label the coordinate oracle fails
+    from unitgraph.graph import _columns_hold
+
+    g = build_graph(field(5), 2)
+    a = 7
+    b = next(j for j in range(g.order) if g.has_edge(a, j))
+    b2 = next(j for j in range(g.order) if not g.has_edge(a, j) and j not in (a, b) and j > 300)
+    moved = moved_graph(g, a, b, b2)
+    assert moved._regular and not is_simple(moved) and moved._columns is not None
+    back = transposed(moved)
+    fooled = 0
+    for label in enumerate_matrices(g.ctx, 2):
+        expected = coordinate_oracle(moved, label)
+        assert verified(moved, label) == expected
+        lam = eigenvalue_charsum(label)
+        exps = _exponents(g.ctx, 2, label.flat, 4)
+        fooled += expected[1] is not None and _columns_hold(back, exps, (g.degree - lam) // 5, lam)
+    assert fooled > 0
+
+
+def test_out_of_byte_eigenvalue_is_refused_by_the_guard(monkeypatch):
+    # lambda + 256 p keeps d - lambda divisible by p, and every expected digit
+    # is then out of byte range: the label must fail where the oracle fails
+    from unitgraph import graph as graph_mod
+
+    F5 = field(5)
+    g = build_graph(F5, 2)
+    charsum = eigenvalue_charsum
+    shifted = lambda m: charsum(m) + 256 * 5
+    monkeypatch.setattr(graph_mod, "_charsum", lambda m, low: shifted(m))
+    monkeypatch.setitem(globals(), "eigenvalue_charsum", shifted)  # the oracle's lambda too
+    for label in sample_labels(F5, 2, 6):
+        expected = coordinate_oracle(g, label)
+        assert expected[1] is not None
+        assert verified(g, label) == expected
+    assert g._columns is not None and not g._passed
+
+
+def test_guard_refuses_out_of_range_digits_where_the_integers_agree():
+    # c = 20, lambda = -40: the expected digits are 20 off B and -20 on B, so
+    # the expected integer's bytes are 19-20 and 235-236, all <= |B| = 243.
+    # Columns that sum to exactly that integer must still not pass.
+    from unitgraph.graph import _columns_hold, _marks
+
+    ctx = field_of_order(729)
+    g = build_graph(ctx, 1)
+    exps = next(  # vertex 728 in bucket 0, the one skipped, keeps the integers positive
+        e for e in (_exponents(ctx, 1, (a,), 1) for a in range(1, 729)) if e[728] == 0
+    )
+    c, lam, ones = 20, -40, int.from_bytes(b"\1" * 729, "little")
+    columns = [0] * 729
+    for mark in _marks(3)[1:]:
+        flags = exps.translate(mark)
+        expected = c * ones + lam * int.from_bytes(flags, "little")
+        assert expected > 0 and max(expected.to_bytes(729, "little")) <= 243 == flags.count(1)
+        columns[flags.index(1)] = expected
+    assert g._columns is not None
+    g.__dict__["_columns"] = tuple(columns)
+    assert not _columns_hold(g, exps, c, lam)
+
+
+@pytest.fixture(scope="module")
+def graph_q7():
+    return build_graph(field(7), 2)
+
+
+@pytest.mark.parametrize("tamper", [None, lambda g: swapped_graph(g, 3, 17)])
+def test_popcount_side_matches_the_coordinate_oracle_at_q7(graph_q7, tamper):
+    graph = tamper(graph_q7) if tamper else graph_q7
+    results = [
+        (verified(graph, label), coordinate_oracle(graph, label))
+        for label in sample_labels(graph.ctx, 2, 6)
+    ]
+    assert all(got == expected for got, expected in results)
+    failures = sum(expected[1] is not None for _, expected in results)
+    assert (failures > 0) == (tamper is not None)
+    assert graph.__dict__["_columns"] is None  # 343 vertices a bucket: no byte columns
+
+
+@pytest.mark.parametrize("q, n, packed", [(729, 1, True), (5, 2, True), (7, 2, False)])
+def test_spectrum_from_graph_with_and_without_packed_columns(q, n, packed, graph_q7):
+    graph = graph_q7 if q == 7 else build_graph(field_of_order(q), n)
+    assert spectrum_from_graph(graph).lines == spectrum_closed_form(q, n).lines
+    assert (graph.__dict__["_columns"] is not None) == packed
+    p = graph.ctx.p
+    assert len(graph._passed) == 1 + (graph.order - 1) // (p - 1)  # one per F_p^* orbit
+    assert all(type(key) is bytes and len(key) == graph.order for key, _ in graph._passed)
