@@ -331,9 +331,7 @@ def _cmd_gap(args):
         import random  # here, so that no other subcommand loads it
         for t in range(args.trials or 1):  # --trials 0 was refused above
             trial_seed = (args.seed or 0) + t
-            rng = random.Random(trial_seed)
-            xs = gap_mod.random_subset(ctx, n, args.random_size, rng)
-            ys = gap_mod.random_subset(ctx, n, args.random_size, rng)
+            xs, ys = gap_mod._random_pair(ctx, n, args.random_size, random.Random(trial_seed))
             reports.append(gap_mod.check_spectral_gap(xs, ys, seed=trial_seed))
 
     lines = [

@@ -15,16 +15,22 @@ cross-multiplication, never by floating point).
 exhaustive witness scan.  If the size test fires and the scan finds no
 witness, the theorem (or more likely this implementation) is broken, and
 a ``TheoremViolationError`` tripwire goes off.  The bound is about sets,
-so a subset that lists one matrix twice is rejected with a ``ValueError``.
+so a subset that lists one matrix twice is rejected with a ``ValueError``;
+a drawn subset is one sample, distinct by construction, and only subsets
+from outside (views built by ``IndexSubset``, matrix sequences) go
+through that check.
 
 Every check runs on matrix enumeration indices, held by an ``IndexSubset``
 (what ``random_subset`` draws and the CLI reads).  A drawn subset's indices
 equal ``rng.sample(range(q^(n^2)), size)`` and leave ``rng`` where
-``rng.sample`` leaves it; ``_sample`` reads the 32-bit words of a plain
-``random.Random`` in bulk to get them.  A plain sequence of
-matrices is numbered once, on entry, into a view that keeps its objects;
-from a drawn or read view a ``Matrix`` is built only for the two matrices
-of a witness.
+``rng.sample`` leaves it; ``_LazySample`` reads the 32-bit words of a
+plain ``random.Random`` in bulk to get them, only as far as they are
+read.  ``random_subset`` reads its draw in full.  A random CLI query draws
+X that way and Y lazily from the words after X's, so the scan draws of Y
+only what it reads: 8 matrices when the witness lies in Y's head block.
+A plain sequence of matrices is numbered once, on entry, into a view that
+keeps its objects; from a drawn or read view a ``Matrix`` is built only
+for the two matrices of a witness.
 
 The scan returns the first pair (a, b) in input order and takes one of two
 routes, chosen from q^(n^2) alone.  Up to ``DEFAULT_ENUM_CAP`` matrices it
@@ -37,7 +43,8 @@ planes and a few whole-integer ANDs and ORs.  The masks are memoised
 per (block, row, value) for the scan: at most n * q^n * ceil(H / 8)
 masks of |Y| bytes for H hyperplanes, and the memo is emptied when it
 passes 64 MiB.  Above the cap (n = 3 and q >= 7) it computes the
-unrolled determinant of every b - a.  Both routes return the same pair.
+unrolled determinant of every b - a, decoding each y when the first a
+reaches it.  Both routes return the same pair.
 """
 
 from __future__ import annotations
@@ -115,6 +122,8 @@ class IndexSubset(Sequence[Matrix]):
     always returns the same object; a slice is the list of its items.
     """
 
+    _distinct = False  # True for the views ``_drawn_view`` builds
+
     def __init__(self, ctx: FieldContext, n: int, indices: list[int]):
         total = matrix_count(ctx, n)
         if indices and not (0 <= min(indices) and max(indices) < total):
@@ -171,15 +180,22 @@ def find_invertible_difference(
 
 
 def _pairwise_scan(
-    ctx: FieldContext, n: int, xs: list[int], ys: list[int]
+    ctx: FieldContext, n: int, xs: Sequence[int], ys: Sequence[int]
 ) -> tuple[int, int] | None:
     """The scan by one unrolled determinant per pair; the positions (i, j)
-    of the first hit.  ys is decoded once, each a when it is reached."""
+    of the first hit.  Each y is decoded when the first a reaches it, and
+    later a's read the decoded list."""
     q, add, neg = ctx.q, ctx._add, ctx._neg
-    flats = [_digits(b, q, n * n) for b in ys]
+    flats: list[tuple[int, ...]] = []
+
+    def first_pass():
+        for b in ys:
+            flats.append(_digits(b, q, n * n))
+            yield flats[-1]
+
     for i, a in enumerate(xs):
         minus_a = [neg[x] for x in _digits(a, q, n * n)]
-        for j, fb in enumerate(flats):
+        for j, fb in enumerate(flats if i else first_pass()):
             if _det_flat(ctx, n, tuple(add[x][y] for x, y in zip(fb, minus_a))):
                 return i, j
     return None
@@ -242,7 +258,7 @@ _MEMO_BYTES = 1 << 26  # a scan drops its memoised masks when they pass 64 MiB
 
 
 def _table_scan(
-    ctx: FieldContext, n: int, xs: list[int], ys: list[int]
+    ctx: FieldContext, n: int, xs: Sequence[int], ys: Sequence[int]
 ) -> tuple[int, int] | None:
     """The scan by hyperplane masks; the positions (i, j) of the first hit.
 
@@ -298,7 +314,7 @@ def check_spectral_gap(
     if xs.n != 3:
         raise ValueError(f"the subset bound is specific to 3x3 matrices, got n={xs.n}")
     for name, subset in (("X", xs), ("Y", ys)):
-        if len(set(subset.indices)) < len(subset):
+        if not subset._distinct and len(set(subset.indices)) < len(subset):
             raise ValueError(f"subset {name} lists a matrix twice; the bound is about sets")
     thr = spectral_threshold(xs.ctx.q)
     guaranteed = len(xs) * len(ys) > thr.integer_bound**2
@@ -332,42 +348,101 @@ def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> I
     return _drawn_view(ctx, n, _sample(rng, matrix_count(ctx, n), size))
 
 
-def _drawn_view(ctx: FieldContext, n: int, indices: list[int]) -> IndexSubset:
-    """An ``IndexSubset`` of indices ``_sample`` has just drawn in
-    [0, q^(n^2)), built without ``__init__``'s range check."""
+def _random_pair(
+    ctx: FieldContext, n: int, size: int, rng: random.Random
+) -> tuple[IndexSubset, IndexSubset]:
+    """X = ``random_subset(ctx, n, size, rng)`` and Y the next ``size``
+    draws of ``rng.sample``, as ``random_subset`` would draw them, but
+    drawn only as far as Y is read.  ``rng`` is then left part-way through
+    Y, so it must not be used again."""
+    xs = random_subset(ctx, n, size, rng)
+    return xs, _drawn_view(ctx, n, _lazy_sample(rng, matrix_count(ctx, n), size))
+
+
+def _drawn_view(ctx: FieldContext, n: int, indices: Sequence[int]) -> IndexSubset:
+    """An ``IndexSubset`` of the indices of one sample in [0, q^(n^2)),
+    built without ``__init__``'s range check; they are distinct, so
+    ``check_spectral_gap`` builds no duplicate set for it."""
     view = IndexSubset.__new__(IndexSubset)
-    view.ctx, view.n, view.indices, view._built = ctx, n, indices, {}
+    view.ctx, view.n, view.indices, view._built, view._distinct = ctx, n, indices, {}, True
     return view
 
 
 def _sample(rng: random.Random, total: int, k: int) -> list[int]:
-    """``rng.sample(range(total), k)``, with ``rng`` left in the same state.
+    """``rng.sample(range(total), k)``, with ``rng`` left in the same state."""
+    return _lazy_sample(rng, total, k)[:]
 
-    ``sample``'s set branch (total above its ``setsize``) reads one word
-    per draw and takes ``word >> (32 - bits)`` unless that is >= total or
-    already picked, where bits = total.bit_length() <= 32.  A plain
-    ``random.Random`` gives the same words, lowest first, from one
-    ``getrandbits(32 * m)``.  Each round draws m = the picks still missing,
-    which ``sample`` reads at least, and keeps the accepted new values in
-    order: a word adds at most one pick, so the k-th pick is the last word
-    drawn.  Any other generator, the pool branch or a wider total goes to
-    ``rng.sample`` itself.
-    """
+
+def _lazy_sample(rng: random.Random, total: int, k: int) -> Sequence[int]:
+    """``rng.sample(range(total), k)``, drawn as far as it is read where
+    ``_LazySample`` can draw it; any other generator, ``sample``'s pool
+    branch (total up to its ``setsize``) or a total past 32 bits goes to
+    ``rng.sample`` itself."""
     setsize = 21  # copied from random.Random.sample
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     if type(rng) is not random.Random or total <= setsize or total.bit_length() > 32:
         return rng.sample(range(total), k)
-    shift = 32 - total.bit_length()
-    limit = total << shift  # word < limit  <=>  word >> shift < total
-    picks: dict[int, None] = {}
-    while len(picks) < k:
-        m = k - len(picks)
-        words = array.array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        picks.update(dict.fromkeys([w >> shift for w in words if w < limit]))
-    return list(picks)
+    return _LazySample(rng, total, k)
+
+
+class _LazySample(Sequence[int]):
+    """``rng.sample(range(total), k)`` for a plain ``random.Random`` and
+    a total in ``sample``'s set branch, drawn as far as it is read.
+
+    That branch reads one word per draw and takes ``word >> (32 - bits)``
+    unless that is >= total or already picked, where bits =
+    total.bit_length() <= 32.  The generator gives the same words, lowest
+    first, from one ``getrandbits(32 * m)``.  Reading position j runs
+    rounds of m = j + 1 - (picks held) words and keeps the accepted new
+    values in order.  A word adds at most one pick, so no round passes
+    the word where ``sample`` takes pick j: every prefix read equals that
+    prefix of ``sample``'s list, and a read to the end leaves ``rng``
+    where ``sample`` leaves it.  Iterating reads ahead in doubling blocks.
+    """
+
+    def __init__(self, rng: random.Random, total: int, k: int):
+        self._rng, self._k = rng, k
+        self._shift = 32 - total.bit_length()
+        self._limit = total << self._shift  # word < limit  <=>  word >> shift < total
+        self._picks: list[int] = []
+        self._seen: set[int] = set()
+
+    def __len__(self) -> int:
+        return self._k
+
+    def _draw(self, stop: int) -> None:
+        """Run rounds until ``stop`` <= k picks are held."""
+        picks, seen = self._picks, self._seen
+        while len(picks) < stop:
+            m = stop - len(picks)
+            words = array.array("I", self._rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            new = dict.fromkeys([w >> self._shift for w in words if w < self._limit])
+            for v in new.keys() & seen:
+                del new[v]
+            seen.update(new)
+            picks += new
+
+    def __getitem__(self, i: int | slice) -> int | list[int]:
+        if isinstance(i, slice):
+            r = range(self._k)[i]
+            if not r:
+                return []
+            self._draw(max(r[0], r[-1]) + 1)  # through the slice's highest position
+            # a descending range that reaches position 0 stops at -1
+            return self._picks[r.start : r.stop if r.stop >= 0 else None : r.step]
+        j = range(self._k)[i]  # IndexError past either end
+        if j >= len(self._picks):
+            self._draw(j + 1)
+        return self._picks[j]
+
+    def __iter__(self):
+        stop = 0
+        while stop < self._k:
+            start, stop = stop, min(self._k, 2 * stop + _HEAD)
+            yield from self[start:stop]
 
 
 def _require_sample(size: int, p: int, k: int, n: int) -> None:

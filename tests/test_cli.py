@@ -258,19 +258,84 @@ def test_gap_cli_index_path_matches_the_list_path(capsys):
 
 
 def test_gap_cli_draws_through_random_subset(capsys, monkeypatch):
+    # X through random_subset, read in full; Y from the same trial generator,
+    # drawn only as far as the scan reads it
     from unitgraph import gap as gap_mod
 
-    draws = []
-    draw = gap_mod.random_subset
+    draws, samples = [], []
+    draw, sample = gap_mod.random_subset, gap_mod._lazy_sample
 
     def spy(*args):
         draws.append(args)
         return draw(*args)
 
+    def sample_spy(rng, total, k):
+        samples.append((rng, sample(rng, total, k)))
+        return samples[-1][1]
+
     monkeypatch.setattr(gap_mod, "random_subset", spy)
+    monkeypatch.setattr(gap_mod, "_lazy_sample", sample_spy)
     code, out, _ = run(capsys, "gap", "--q", "2", "--random-size", "75", "--trials", "3")
     assert code == 0 and len(out.splitlines()) == 3
-    assert len(draws) == 6  # X and Y of each trial
+    assert len(draws) == 3 and len(samples) == 6  # X of each trial; X and Y
+    for (_, _, _, rng), (x_rng, _), (y_rng, ys) in zip(draws, samples[::2], samples[1::2]):
+        assert x_rng is y_rng is rng
+        assert type(ys) is gap_mod._LazySample and len(ys) == 75 and len(ys._picks) < 75
+
+
+def _gap_reports_of_sampled_lists(q, size, seeds):
+    """The reports of check_spectral_gap on matrix lists from two
+    rng.sample draws per seed, and the witness positions (i, j)."""
+    from unitgraph import check_spectral_gap, field_of_order, matrix_from_index
+
+    ctx, reports, hits = field_of_order(q), [], []
+    for seed in seeds:
+        rng = random.Random(seed)
+        xs, ys = ([matrix_from_index(ctx, 3, i) for i in rng.sample(range(q**9), size)]
+                  for _ in "xy")
+        report = check_spectral_gap(xs, ys, seed=seed)
+        reports.append(report.to_json_dict())
+        if report.witness:
+            a, b = report.witness
+            hits.append((next(i for i, m in enumerate(xs) if m is a),
+                         next(j for j, m in enumerate(ys) if m is b)))
+    return reports, hits
+
+
+@pytest.mark.parametrize("size, trials", [(2, 60), (12, 40)])
+def test_gap_cli_random_reports_match_sampled_lists(capsys, size, trials):
+    # Y is drawn only as far as the scan reads it: at size 2, 16 trials read
+    # Y in full and find nothing, and 18 read it for a later a; at size 12,
+    # 3 witnesses lie past Y's first 8 matrices
+    code, out, _ = run(capsys, "gap", "--q", "2", "--random-size", str(size),
+                       "--trials", str(trials), "--seed", "1", "--format", "json")
+    assert code == 0
+    reports, hits = _gap_reports_of_sampled_lists(2, size, range(1, trials + 1))
+    assert json.loads(out) == {"q": 2, "n": 3, "reports": reports}
+    late = (trials - len(hits), sum(i >= 1 for i, _ in hits), sum(j >= 8 for _, j in hits))
+    assert late == {2: (16, 18, 0), 12: (0, 0, 3)}[size]
+
+
+@pytest.mark.parametrize("size, trials", [(50, 3), (117995, 1)])
+def test_gap_cli_pairwise_reports_match_sampled_lists(capsys, size, trials):
+    # q = 7 is above the enumeration cap: the pairwise route reads a drawn Y,
+    # and 117995 is the least size the bound 117994 guarantees
+    code, out, _ = run(capsys, "gap", "--q", "7", "--random-size", str(size),
+                       "--trials", str(trials), "--seed", "1", "--format", "json")
+    assert code == 0
+    reports, _ = _gap_reports_of_sampled_lists(7, size, range(1, trials + 1))
+    assert json.loads(out) == {"q": 7, "n": 3, "reports": reports}
+    assert reports[0]["guaranteed"] is (size == 117995)
+
+
+def test_gap_cli_random_query_trips_the_theorem_check(capsys, monkeypatch):
+    # a guaranteed random query whose scan finds nothing is a violation
+    from unitgraph import gap as gap_mod
+
+    monkeypatch.setattr(gap_mod, "_table_scan", lambda *args: None)
+    code, out, err = run(capsys, "gap", "--q", "2", "--random-size", "75", "--trials", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("THEOREM VIOLATION: ") and len(err.splitlines()) == 1
 
 
 def test_gap_requires_input(capsys):
@@ -810,8 +875,9 @@ def test_cap_comparison_and_printed_count_match_the_power():
 GOLDEN = Path(__file__).parent / "golden"
 
 # stdout of the README examples (plus JSON reports: gap_q3_random.json pins the
-# seeded draws through their witnesses; verify_q3_n2.txt and verify_q5_n2.json
-# pin the odd-p graph route); these bytes are part of the CLI contract, so any
+# seeded draws through their witnesses, gap_q2_random_reads.json pins witnesses
+# past Y's first 8 matrices; verify_q3_n2.txt and verify_q5_n2.json pin the
+# odd-p graph route); these bytes are part of the CLI contract, so any
 # difference is a regression
 GOLDEN_RUNS = {
     "spectrum_q2.txt": ["spectrum", "--q", "2"],
@@ -829,6 +895,9 @@ GOLDEN_RUNS = {
     "gap_q2_subset.txt": ["gap", "--q", "2", "--subset-file", str(GOLDEN / "my.idx")],
     "gap_q3_random.json": [
         "gap", "--q", "3", "--random-size", "759", "--trials", "3", "--seed", "2", "--format", "json"
+    ],
+    "gap_q2_random_reads.json": [
+        "gap", "--q", "2", "--random-size", "12", "--trials", "40", "--seed", "1", "--format", "json"
     ],
     "export_graph_q2_n2.txt": ["export-graph", "--q", "2", "--n", "2"],
     "census_q3.json": ["census", "--q", "3", "--format", "json"],

@@ -495,3 +495,70 @@ def test_drawn_views_skip_the_range_check_that_built_views_keep(monkeypatch):
 
     monkeypatch.setattr(IndexSubset, "__init__", checked)
     assert random_subset(F3, 3, 759, random.Random(3)).indices == drawn.indices
+
+
+def _lazy_reads(seed, total, k):
+    """A lazy draw read ascending, far index first, by slices or by
+    iteration: every read equals rng.sample's list, and a full read
+    leaves the generator where rng.sample leaves it."""
+    ref = random.Random(seed)
+    expected, state = ref.sample(range(total), k), ref.getstate()
+    for order in ("ascending", "far index first", "slices", "iteration"):
+        rng = random.Random(seed)
+        drawn = gap_mod._lazy_sample(rng, total, k)
+        if order == "far index first" and k:
+            assert drawn[k - 1] == expected[k - 1], (total, k)
+        if order == "slices":
+            for part in (slice(2, 5), slice(k // 3, k - 1, 2), slice(-4, 1, -1), slice(None, None, -1)):
+                assert drawn[part] == expected[part], (total, k, part)
+        read = list(drawn) if order == "iteration" else [drawn[j] for j in range(k)]
+        assert len(drawn) == k and read == expected, (total, k, order)
+        assert rng.getstate() == state, (total, k, order)
+
+
+def test_lazy_sample_matches_rng_sample_in_any_order_at_every_width():
+    for bits in range(5, 33):
+        for total in (2**bits - 1, 2**bits, 2**bits + 1):
+            for k in (0, 1, 2, 5, 6, 40, 300):
+                if k < total:
+                    for seed in range(2):
+                        _lazy_reads(seed, total, k)
+
+
+def test_lazy_sample_prefix_reads_draw_no_further_than_rng_sample():
+    # a prefix read takes pick j at the same word rng.sample does, so the
+    # generator, read on from there, gives rng.sample's remaining picks
+    for total, k in ((512, 75), (19683, 759), (2**32 - 1, 300)):
+        for seed in range(3):
+            expected = random.Random(seed).sample(range(total), k)
+            for stop in (1, 8, k // 2):
+                rng = random.Random(seed)
+                drawn = gap_mod._lazy_sample(rng, total, k)
+                assert drawn[:stop] == expected[:stop] and len(drawn._picks) == stop
+                assert drawn[stop - 1] == expected[stop - 1] and len(drawn._picks) == stop
+
+
+def test_a_head_block_witness_leaves_y_mostly_undrawn():
+    # the table scan reads Y's first 8 matrices first; a witness there
+    # draws those 8, and a drawn view builds no duplicate set
+    for seed in range(4):
+        rng, ref = random.Random(seed), random.Random(seed)
+        xs, ys = gap_mod._random_pair(F3, 3, 759, rng)
+        report = check_spectral_gap(xs, ys)
+        assert xs.indices == ref.sample(range(3**9), 759)
+        assert type(ys.indices) is gap_mod._LazySample and len(ys) == 759
+        assert report.witness[1] in ys[:8] and len(ys.indices._picks) == 8
+        assert ys.indices[:8] == ref.sample(range(3**9), 759)[:8]
+
+
+@pytest.mark.parametrize("size", [2, 12, 40])
+def test_pairwise_scan_reads_a_lazy_y_like_a_list(size):
+    # the first a decodes Y as it reaches each y; later a's read that list
+    for seed in range(30):
+        ref = random.Random(seed)
+        xs, ys = ref.sample(range(512), size), ref.sample(range(512), size)
+        rng = random.Random(seed)
+        rng.sample(range(512), size)
+        lazy = gap_mod._lazy_sample(rng, 512, size)
+        found = gap_mod._pairwise_scan(F2, 3, xs, lazy)
+        assert found == gap_mod._pairwise_scan(F2, 3, xs, ys) == gap_mod._table_scan(F2, 3, xs, ys)
