@@ -10,7 +10,8 @@ Character values are exact ``Cyclotomic`` numbers.  For bulk work the
 functions below also expose the underlying exponent (an integer in
 [0, p)), which is what the enumeration loops histogram over; over all
 matrices at once they are one ``bytes`` object (up to p = 256), built
-digit by digit.
+digit by digit.  Over a set of matrices, every label's character sum at
+once is one transform of the set's indicator (``_character_sums``).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import itertools
 from collections.abc import Sequence
 
 from .cyclotomic import Cyclotomic
-from .errors import ContextMismatchError
-from .fields import FieldContext, FieldElement, _all_digits
+from .errors import ContextMismatchError, NotRationalError
+from .fields import FieldContext, FieldElement, _all_digits, _number
 from .matrices import DEFAULT_ENUM_CAP, Matrix, _require_under_cap
 
 
@@ -123,3 +124,110 @@ def _exponents(ctx: FieldContext, n: int, label_flat: Sequence[int], digits: int
         else:
             exps *= ctx.q
     return exps
+
+
+# ---------------------------------------------------------------------------
+# every label's character sum over a set, by one transform of its indicator
+
+
+@functools.lru_cache(maxsize=8)
+def _trace_duals(ctx: FieldContext) -> tuple[int, ...]:
+    """Entry a is the element whose base-p digit t is Tr(a x^t): the
+    coefficients of b, dotted with it, give Tr(a b).  The identity at k = 1."""
+    p, mul, trace = ctx.p, ctx._mul, ctx._trace
+    return tuple(_number([trace[mul[a][p**t]] for t in range(ctx.k)], p) for a in range(ctx.q))
+
+
+def _dual_index(ctx: FieldContext, n: int, label_flat: Sequence[int]) -> int:
+    """The index u whose digit products <u, t> (base-p digits of u and t,
+    multiplied place by place and summed mod p) are the label's trace
+    exponents at every matrix t.  Entry b[j,i] of a matrix meets the label's
+    a[i,j] in tr(A B), so u is the label transposed, each entry read as its
+    trace dual (``_trace_duals``)."""
+    duals = _trace_duals(ctx)
+    return _number([duals[label_flat[j * n + i]] for i in range(n) for j in range(n)], ctx.q)
+
+
+def _character_sums(indicator: bytes, p: int) -> list[int]:
+    """Entry u is sum_(t in S) zeta_p^<u, t> (``_dual_index``) for the set S
+    whose 0/1 indicator over the p^D indices is given: the character sum
+    over S of every label at once, the label with dual index u at entry u.
+
+    ``_transform`` counts the exponents of each entry.  The sum is an
+    integer exactly when the counts of the exponents 1..p-1 agree, and it
+    is then count 0 minus count 1; otherwise ``NotRationalError``.
+    """
+    width = (indicator.count(1).bit_length() + 7) // 8 or 1  # no count exceeds |S|
+    records, size = _transform(indicator, p, width), p * width
+
+    def counts(e: int) -> bytearray:  # count e of every entry, in order
+        out = bytearray(len(indicator) * width)
+        for j in range(width):
+            out[j::width] = records[e * width + j :: size]
+        return out
+
+    zero, one = counts(0), counts(1)
+    if any(counts(e) != one for e in range(2, p)):
+        for u in range(len(indicator)):
+            entry = records[u * size : (u + 1) * size]
+            found = [int.from_bytes(entry[i : i + width], "little") for i in range(0, size, width)]
+            if found[1:] != found[1:2] * (p - 1):
+                raise NotRationalError(
+                    f"character sum {u} did not collapse to an integer: exponent counts {found}"
+                )
+    return [
+        int.from_bytes(zero[i : i + width], "little") - int.from_bytes(one[i : i + width], "little")
+        for i in range(0, len(zero), width)
+    ]
+
+
+def _transform(indicator: bytes, p: int, width: int) -> bytes:
+    """Entry u counts, for each exponent e, the members t of the set with
+    <u, t> = e: p fields of ``width`` bytes (least significant first) at
+    bytes [u p width, (u + 1) p width).
+
+    One stage per base-p digit.  A stage splits the entries into X_a, those
+    whose top digit is a, and writes sum_a zeta^(a c) X_a to the entries
+    whose bottom digit is c, the other digits moved up one place; after the
+    last stage every digit is back in its place, as u's.  Multiplying by
+    zeta^s rotates an entry's fields by s.  An entry's fields add up to the
+    members it has met, so none passes the set's size, which ``width``
+    holds, and none carries into the next.  The first stage needs no
+    rotation: its entries hold exponent 0 alone, so bit a of X_a goes to
+    field a c.  With one digit (n = 1 over a prime field) that stage is
+    all, and entry c is the indicator read at e c^-1 for each field e, one
+    byte wide since the set has at most p < 256 members.
+    """
+    order, size = len(indicator), p * width
+    m = order // p  # entries per value of the top digit
+    parts = [indicator[a * m : (a + 1) * m] for a in range(p)]
+    out = bytearray(order * size)
+    out[:: p * size] = sum(int.from_bytes(x, "little") for x in parts).to_bytes(m, "little")
+    for c in range(1, p):
+        if m == 1:
+            inverse = pow(c, -1, p)
+            out[c * p : (c + 1) * p] = (indicator * inverse)[::inverse]
+            continue
+        for a, x in enumerate(parts):
+            out[c * size + a * c % p * width :: p * size] = x
+
+    bits, block = 8 * width, m * size
+    low = [  # the fields below f of every entry in a block
+        int.from_bytes((b"\xff" * (f * width) + bytes((p - f) * width)) * m, "little")
+        for f in range(p)
+    ]
+
+    def times_root(x: int, s: int) -> int:  # field e to field e + s mod p
+        if not s:
+            return x
+        return ((x & low[p - s]) << bits * s) | ((x >> bits * (p - s)) & low[s])
+
+    stride = p
+    while stride < order:
+        xs = [int.from_bytes(out[a * block : (a + 1) * block], "little") for a in range(p)]
+        for c in range(p):
+            new = sum(times_root(x, a * c % p) for a, x in enumerate(xs)).to_bytes(block, "little")
+            for j in range(size):
+                out[c * size + j :: p * size] = new[j::size]
+        stride *= p
+    return bytes(out)

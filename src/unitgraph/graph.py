@@ -14,6 +14,11 @@ its bits, so bit j of row i is det(B_j - B_i) != 0 without a determinant
 per pair.  The bitmap does not read the rank table, so the graph checks
 it independently.
 
+Every label's eigenvalue comes from one transform of the rank table's
+GL indicator (``characters._character_sums``), read at the label's
+trace-dual index; the rows check each one, and each label's rank is its
+rank-table byte.
+
 A row/eigenvector product reduces to p popcounts: bucket the vertices by
 character exponent once per label, then count neighbors per bucket with
 bitwise AND.  The counts are compared with the eigenvalue as integers,
@@ -31,9 +36,11 @@ At p = 2 a vertex index is an F_2-vector, matrix addition is XOR and
 every character is a Walsh function (-1)^(u . v), so coordinate v of
 A chi_u = mu_u chi_u, for every u at once, is the Walsh-Hadamard
 transform of row v.  One packed transform per row checks all N
-eigen-equations, and a label whose eigenvalue equals its checked mu_u
-passes without popcounts; any other label, and every label of a graph
-with a row that misses, takes the popcount route above.
+eigen-equations.  A label's character is the Walsh function of its dual
+index u, which the graph checks once on the basis labels, so a label
+whose eigenvalue equals its checked mu_u passes without its exponents or
+popcounts; any other label, and every label of a graph with a row that
+misses, takes the popcount route above.
 """
 
 from __future__ import annotations
@@ -45,11 +52,11 @@ from io import TextIOBase
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
-from .fields import FieldContext, Frozen, _all_digits, _over_cap, _power
-from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _eliminate, gl_order, matrix_count
+from .fields import FieldContext, Frozen, _all_digits, _digits, _number, _over_cap, _power
+from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _rank_table, gl_order, matrix_count
 from .matrices import matrix_from_index, matrix_to_index
-from .characters import _BYTE_MAX_P, _exponents
-from .spectra import Spectrum, SpectrumLine, _charsum
+from .characters import _BYTE_MAX_P, _character_sums, _dual_index, _exponents, _shift_tables
+from .spectra import Spectrum, SpectrumLine
 
 class CayleyGraph(Frozen):
     """The invertibility graph, materialized as packed adjacency bit rows;
@@ -74,10 +81,9 @@ class CayleyGraph(Frozen):
         return all(row.bit_count() == self.degree for row in self.rows)
 
     @functools.cached_property
-    def _passed(self) -> set[tuple[bytes, int]]:
-        """(partition into exponent buckets, lambda) pairs that passed
-        ``verify_eigenvector`` on this graph at odd p, each partition as
-        ``_partition_key`` spells it."""
+    def _passed(self) -> set[tuple[int, int]]:
+        """(``_orbit`` of the dual index, lambda) pairs that passed
+        ``verify_eigenvector`` on this graph at odd p."""
         return set()
 
     @functools.cached_property
@@ -120,6 +126,31 @@ class CayleyGraph(Frozen):
             if _walsh_hadamard(self.rows[g ^ (g >> 1)], order) != first ^ (flip & signs):
                 return None
         return tuple(_walsh_values(first, order))
+
+    @functools.cached_property
+    def _eigenvalues(self) -> list[int]:
+        """Entry u is the character sum over GL_n(F_q) of every label whose
+        ``_dual_index`` is u: one transform of the rank table's GL
+        indicator, which shares nothing with the rows."""
+        gl = _rank_table(self.ctx, self.n).translate(bytes(r == self.n for r in range(256)))
+        return _character_sums(gl, self.ctx.p)
+
+    @functools.cached_property
+    def _duals_hold(self) -> bool:
+        """Each of the k n^2 basis labels (one entry x^t, the rest 0) has
+        <u, v> as its exponent at every vertex v, u its ``_dual_index``.
+        Both are F_p-linear in the label, so then every label's are."""
+        ctx, n, p = self.ctx, self.n, self.ctx.p
+        shift = _shift_tables(p)
+        for pos, t in itertools.product(range(n * n), range(ctx.k)):
+            flat = [0] * (n * n)
+            flat[pos] = p**t
+            exps = b"\0"
+            for d in _digits(_dual_index(ctx, n, flat), p, ctx.k * n * n):
+                exps = b"".join(exps.translate(shift[d * x % p]) for x in range(p))
+            if exps != _exponents(ctx, n, flat, n * n):
+                return False
+        return True
 
     def vertex(self, i: int) -> Matrix:
         return matrix_from_index(self.ctx, self.n, i)
@@ -277,7 +308,9 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     """Check A v = lambda v exactly for the label's character vector.
 
     v has the character value zeta_p^e_v at every vertex v; lambda is the
-    independent character sum over the invertible matrices.  The vertices
+    label's character sum over the invertible matrices, read at the
+    label's dual index from the graph's transform of the rank table
+    (``CayleyGraph._eigenvalues``), so the rows check it.  The vertices
     are bucketed by exponent, and coordinate v of A v is
     sum_e counts[e] zeta_p^e, where counts[e] is the number of v's
     neighbors in bucket e.  On a regular graph of degree d that equals
@@ -287,13 +320,16 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     byte-packed adjacency columns where a bucket fits a byte, else
     popcounts of the rows.  A column that misses sends the label to the
     popcounts of all p buckets and the coordinate loop, which decides and
-    names the first failing vertex.  A passed check depends only on
-    lambda and the partition into buckets, which the F_p-multiples of a
-    label share, so at odd p the graph keeps the passed pairs and a label
-    with an equal pair skips the columns.  At p = 2 a label whose
-    exponents are the Walsh function of u and whose lambda equals the
-    graph's transform-checked mu_u passes without columns; a graph with a
-    row that misses, or a lambda that differs, takes the columns.
+    names the first failing vertex.
+
+    Once the basis labels hold (``_duals_hold``), the label's exponent at
+    vertex v is <u, v> for its dual index u, and a label may pass without
+    its exponents.  A passed check depends only on lambda and the
+    partition into buckets, which the F_p-multiples cL share, as their
+    dual indices share an ``_orbit``: at odd p the graph keeps the passed
+    (orbit, lambda) pairs, and a label with an equal pair passes.  At
+    p = 2 a lambda equal to the graph's row-checked mu_u passes; a graph
+    with a row that misses, or a lambda that differs, takes the columns.
     Returns lambda on success.
 
     Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
@@ -307,14 +343,17 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
         raise SizeTooLargeError(
             f"eigenvector checks at p = {p} are past the byte-exponent limit p <= {_BYTE_MAX_P}"
         )
-    exps = _exponents(ctx, n, label.flat, n * n)
-    lam = _charsum(label, exps[: len(exps) // ctx.q])  # the charsum's low-digit exponents
-    if p == 2 and _walsh_holds(graph, exps, lam):
-        return lam
-    if p > 2:  # at p = 2 no other label has this partition
-        key = (_partition_key(exps, p), lam)
-        if key in graph._passed:
+    u = _dual_index(ctx, n, label.flat)
+    lam = graph._eigenvalues[u]
+    key = None
+    if graph._duals_hold:  # the label's exponents are <u, v>
+        if p == 2 and graph._walsh is not None and graph._walsh[u] == lam:
             return lam
+        if p > 2:  # at p = 2 no other label has u's buckets
+            key = (_orbit(u, p), lam)
+            if key in graph._passed:
+                return lam
+    exps = _exponents(ctx, n, label.flat, n * n)
 
     c, r = divmod(graph.degree - lam, p)
     if not (r == 0 and graph._regular and _columns_hold(graph, exps, c, lam)):
@@ -330,7 +369,7 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
                     f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
                     coordinate=v,
                 )
-    if p > 2:
+    if key:
         graph._passed.add(key)
     return lam
 
@@ -342,12 +381,15 @@ def _marks(p: int) -> tuple[bytes, ...]:
     return tuple(bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p))
 
 
-def _partition_key(exps: bytes, p: int) -> bytes:
-    """The exponents relabelled 0, 1, ... in order of first appearance:
-    two labels get the same key exactly when they bucket the vertices the
-    same way."""
-    order = bytes(sorted((e for e in range(p) if e in exps), key=exps.find))
-    return exps.translate(bytes.maketrans(order, bytes(range(len(order)))))
+def _orbit(u: int, p: int) -> int:
+    """u with its base-p digits scaled by the c in F_p^* that makes the
+    lowest nonzero one 1: the same for u and all its nonzero multiples."""
+    digits = []
+    while u:
+        u, d = divmod(u, p)
+        digits.append(d)
+    inverse = pow(next((d for d in digits if d), 1), -1, p)
+    return _number([d * inverse % p for d in digits], p)
 
 
 def _columns_hold(graph: CayleyGraph, exps: bytes, c: int, lam: int) -> bool:
@@ -382,19 +424,6 @@ def _columns_hold(graph: CayleyGraph, exps: bytes, c: int, lam: int) -> bool:
     return True
 
 
-def _walsh_holds(graph: CayleyGraph, exps: bytes, lam: int) -> bool:
-    """At p = 2: the exponents are the Walsh function of some u, bit b of u
-    being the exponent at vertex 2^b, and the graph's checked mu_u is lam."""
-    u, walsh = 0, b"\0"
-    for b in range(graph.order.bit_length() - 1):
-        u |= exps[1 << b] << b
-        walsh += walsh.translate(_FLIP) if exps[1 << b] else walsh
-    return walsh == exps and graph._walsh is not None and graph._walsh[u] == lam
-
-
-_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
-
-
 def _coordinate_holds(counts: Sequence[int], lam: int, e: int) -> bool:
     """sum_k counts[k] zeta_p^k == lam zeta_p^e, decided on the integers.
 
@@ -411,16 +440,15 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
     The character vectors are pairwise orthogonal and nonzero, so once
     every label passes, the bucketed eigenvalues with their class sizes
     are the complete spectrum (the multiplicity sum is re-checked by
-    ``Spectrum.validate``).  Also checks that the eigenvalue is constant on
+    ``Spectrum.validate``).  A label's rank is its rank-table byte, and the
+    class sizes are counted.  Also checks that the eigenvalue is constant on
     each rank class rather than assuming it.
     """
     ctx, n = graph.ctx, graph.n
     by_rank: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for flat in _all_digits(ctx.q, n * n):
-        label = Matrix(ctx, n, flat)
-        lam = verify_eigenvector(graph, label)
-        r = _eliminate(ctx, n, flat)[0]
+    for flat, r in zip(_all_digits(ctx.q, n * n), _rank_table(ctx, n)):
+        lam = verify_eigenvector(graph, Matrix(ctx, n, flat))
         if by_rank.setdefault(r, lam) != lam:
             raise CheckFailedError(
                 f"rank {r} labels produced two eigenvalues: {by_rank[r]} and {lam}"

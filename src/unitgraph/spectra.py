@@ -207,15 +207,8 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     one.  A ``NotRationalError`` escaping from the collapse indicates a
     bug, not a property of the input: these sums are Galois-stable.
     """
-    _require_under_cap(label.ctx, label.n, cap)
-    return _charsum(label)
-
-
-def _charsum(label: Matrix, low: bytes | None = None) -> int:
-    """``eigenvalue_charsum`` without the cap check.  ``low``, when given,
-    is the label's exponent bytes over the low n^2 - 1 digits, the first
-    q^(n^2 - 1) bytes of its ``_exponents``; otherwise they are computed."""
     ctx, n = label.ctx, label.n
+    _require_under_cap(ctx, n, cap)
     table = _rank_table(ctx, n)
     invertible = table.count(n)
     if not any(label.flat):
@@ -227,8 +220,7 @@ def _charsum(label: Matrix, low: bytes | None = None) -> int:
             counts[e] += 1
         return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
     top = n * n - 1  # b[n-1, n-1], which meets the label entry a[n-1, n-1]
-    if low is None:
-        low = _exponents(ctx, n, label.flat, top)
+    low = _exponents(ctx, n, label.flat, top)
     shift = _shift_tables(ctx.p)
     a, size = label.flat[top], len(low)
     per = max(1, _CHUNK // size)  # consecutive blocks gathered into one chunk

@@ -1,6 +1,7 @@
 """Character family properties: homomorphism, sums, injectivity, orthogonality."""
 
 import itertools
+import random
 
 import pytest
 
@@ -16,8 +17,14 @@ from unitgraph import (
     matrix_char,
     rank_representative,
 )
-from unitgraph.characters import _exponents, _exponent_of, _label_terms
-from unitgraph.matrices import enumerate_matrices, matrix_count
+from unitgraph import eigenvalue_charsum, eigenvalue_closed_form, rank_count
+from unitgraph.characters import (
+    _character_sums, _dual_index, _exponents, _exponent_of, _label_terms, _shift_tables,
+)
+from unitgraph.errors import NotRationalError
+from unitgraph.fields import _all_digits, _digits, _number
+from unitgraph.matrices import _rank_table, enumerate_matrices, matrix_count
+from unitgraph.spectra import _krawtchouk
 
 F2 = field(2)
 F3 = field(3)
@@ -177,3 +184,120 @@ def test_exponents_match_pointwise_exponents(q, n):
         exps = _exponents(ctx, n, label, n * n)
         assert type(exps) is (bytes if q <= 256 else list)
         assert list(exps) == expected, label
+
+
+# ---------------------------------------------------------------------------
+# every label's character sum over a set by one transform of its indicator
+
+
+def rank_indicator(ctx, n, k):
+    """Byte t is 1 iff matrix t has rank k, read off the rank table."""
+    return _rank_table(ctx, n).translate(bytes(r == k for r in range(256)))
+
+
+def transposed_index(ctx, n, flat):
+    """The label transposed, its entries read as they are: the dual index
+    without the per-entry trace dual."""
+    return _number([flat[j * n + i] for i in range(n) for j in range(n)], ctx.q)
+
+
+def index_character(u, p, digits):
+    """Entry t is <u, t>, the sum of the products of u's and t's base-p
+    digits mod p, built one digit of t at a time."""
+    shift, exps = _shift_tables(p), b"\0"
+    for d in _digits(u, p, digits):
+        exps = b"".join(exps.translate(shift[d * x % p]) for x in range(p))
+    return exps
+
+
+@pytest.mark.parametrize("q, n, sample", [
+    (2, 3, None), (3, 2, None), (4, 2, None), (5, 2, None),
+    (9, 1, None), (25, 1, None), (27, 1, None), (251, 1, None), (256, 1, None),
+    (7, 2, 40), (8, 2, 40), (9, 2, 40),
+])
+def test_transform_equals_the_character_sum_of_every_label(q, n, sample):
+    ctx = field_of_order(q)
+    sums = _character_sums(rank_indicator(ctx, n, n), ctx.p)
+    labels = list(enumerate_matrices(ctx, n))
+    if sample:
+        labels = random.Random(q).sample(labels, sample)
+    assert all(sums[_dual_index(ctx, n, m.flat)] == eigenvalue_charsum(m) for m in labels)
+
+
+@pytest.mark.parametrize("q, n", [
+    (2, 3), (3, 3), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2), (2, 4),
+])
+def test_transform_is_constant_on_rank_classes_and_equals_the_product_form(q, n):
+    ctx = field_of_order(q)
+    sums = _character_sums(rank_indicator(ctx, n, n), ctx.p)  # raises unless all rational
+    values = [set() for _ in range(n + 1)]
+    sizes = [0] * (n + 1)
+    for flat, r in zip(_all_digits(q, n * n), _rank_table(ctx, n)):
+        values[r].add(sums[_dual_index(ctx, n, flat)])
+        sizes[r] += 1
+    assert values == [{eigenvalue_closed_form(q, r, n)} for r in range(n + 1)]
+    assert sizes == [rank_count(q, n, r) for r in range(n + 1)]
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (5, 2), (8, 2)])
+def test_rank_k_transforms_are_delsartes_eigenmatrix(q, n):
+    # the transform of the rank-k indicator is the eigenvalue of every label
+    # in the graph joining matrices whose difference has rank k
+    ctx = field_of_order(q)
+    table = _rank_table(ctx, n)
+    duals = [_dual_index(ctx, n, flat) for flat in _all_digits(q, n * n)]
+    for k in range(n + 1):
+        sums = _character_sums(rank_indicator(ctx, n, k), ctx.p)
+        column = [_krawtchouk(q, n, k, x) for x in range(n + 1)]
+        assert [sums[u] for u in duals] == [column[r] for r in table], k
+
+
+def test_transform_refuses_unequal_counts(monkeypatch):
+    from unitgraph import characters
+
+    transform = characters._transform
+
+    def tampered(indicator, p, width):
+        records = bytearray(transform(indicator, p, width))
+        records[7 * p * width + width] += 1  # exponent 1 of entry 7
+        return bytes(records)
+
+    gl = rank_indicator(F3, 2, 2)
+    assert _character_sums(gl, 3)[7] == -6  # exponent counts 12, 18 and 18
+    monkeypatch.setattr(characters, "_transform", tampered)
+    with pytest.raises(NotRationalError) as err:
+        _character_sums(gl, 3)
+    assert str(err.value) == (
+        "character sum 7 did not collapse to an integer: exponent counts [12, 19, 18]"
+    )
+
+
+@pytest.mark.parametrize("q, sample", [(8, None), (16, 40)])
+def test_dual_index_reproduces_the_exponents(q, sample):
+    # every label at q = 8 and the k n^2 basis labels with seeded ones at
+    # q = 16: the character of the dual index is the label's, byte for byte
+    ctx = field_of_order(q)
+    labels = [m.flat for m in enumerate_matrices(ctx, 2)]
+    if sample:
+        basis = [
+            tuple(ctx.p**t * (i == pos) for i in range(4)) for pos in range(4) for t in range(ctx.k)
+        ]
+        labels = basis + random.Random(q).sample(labels, sample)
+    for flat in labels:
+        u = _dual_index(ctx, 2, flat)
+        assert index_character(u, ctx.p, 4 * ctx.k) == _exponents(ctx, 2, flat, 4), flat
+
+
+def test_transpose_alone_misreads_labels_at_q8_but_not_at_q4():
+    # the trace dual is needed at k > 1: at q = 4 it is multiplication by
+    # one element, which keeps every rank, so only q = 8 or 16 can catch it
+    misread = {}
+    for q in (4, 8):
+        ctx = field_of_order(q)
+        sums = _character_sums(rank_indicator(ctx, 2, 2), ctx.p)
+        closed = [eigenvalue_closed_form(q, r, 2) for r in range(3)]
+        misread[q] = sum(
+            sums[transposed_index(ctx, 2, flat)] != closed[r]
+            for flat, r in zip(_all_digits(q, 4), _rank_table(ctx, 2))
+        )
+    assert misread == {4: 0, 8: 432}

@@ -130,6 +130,43 @@ def test_verify_reports_graph_route_failures(capsys, monkeypatch):
     assert err == ""
 
 
+def test_verify_fails_on_one_wrong_transform_eigenvalue(capsys, monkeypatch):
+    from unitgraph import graph as graph_mod
+
+    sums = graph_mod._character_sums
+
+    def off_by_one(indicator, p):
+        values = sums(indicator, p)
+        values[5] += 1
+        return values
+
+    monkeypatch.setattr(graph_mod, "_character_sums", off_by_one)
+    code, out, err = run(capsys, "verify", "--q", "2", "--n", "2")
+    assert code == 1 and err == ""
+    assert "  [FAIL] graph-eigenvectors: A v != lambda v at vertex 0 for label index 3:" in out
+    assert out.endswith("failed at: graph-eigenvectors\n")
+
+
+def test_verify_reports_an_irrational_transform_entry_as_a_check_failure(capsys, monkeypatch):
+    from unitgraph import characters
+
+    transform = characters._transform
+
+    def unequal(indicator, p, width):
+        records = bytearray(transform(indicator, p, width))
+        records[7 * p * width + width] += 1  # exponent 1 of entry 7
+        return bytes(records)
+
+    monkeypatch.setattr(characters, "_transform", unequal)
+    code, out, err = run(capsys, "verify", "--q", "3", "--n", "2")
+    assert code == 1 and err == ""
+    assert out.splitlines()[-2:] == [
+        "  [FAIL] graph-eigenvectors: character sum 7 did not collapse to an integer:"
+        " exponent counts [12, 19, 18]",
+        "failed at: graph-eigenvectors",
+    ]
+
+
 def test_verify_reads_the_closed_forms_at_every_n(capsys, monkeypatch):
     from unitgraph import spectra
 

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unitgraph import (
+    CheckFailedError,
     Cyclotomic,
     EigenvectorMismatchError,
     Matrix,
@@ -28,9 +29,9 @@ from unitgraph import (
     spectrum_from_graph,
     verify_eigenvector,
 )
-from unitgraph.characters import _exponents
+from unitgraph.characters import _dual_index, _exponents
 from unitgraph.graph import (
-    CayleyGraph, _coordinate_holds, _walsh_hadamard, _walsh_holds, _walsh_values, export_edges,
+    CayleyGraph, _coordinate_holds, _walsh_hadamard, _walsh_values, export_edges,
 )
 from unitgraph.matrices import _det_flat
 
@@ -347,18 +348,21 @@ def test_verify_eigenvector_matches_the_coordinate_oracle(q, n, tamper):
     assert (failures > 0) == (tamper is not None)
 
 
-def test_reused_check_does_not_hide_a_wrong_eigenvalue(monkeypatch):
-    from unitgraph import graph as graph_mod
+def wrong_eigenvalue(monkeypatch, graph, label, delta):
+    """The graph's cached eigenvalue of the label (and of every label with
+    its dual index) moved by delta until ``monkeypatch.undo()``."""
+    values = list(graph._eigenvalues)
+    values[_dual_index(graph.ctx, graph.n, label.flat)] += delta
+    monkeypatch.setitem(graph.__dict__, "_eigenvalues", values)
 
+
+def test_reused_check_does_not_hide_a_wrong_eigenvalue(monkeypatch):
     F5 = field(5)
     g = build_graph(F5, 2)
     label = rank_representative(F5, 2, 1)
     double = Matrix(F5, 2, tuple(2 * a % 5 for a in label.flat))
     lam = verify_eigenvector(g, label)
-    charsum = graph_mod._charsum
-    monkeypatch.setattr(
-        graph_mod, "_charsum", lambda m, low: charsum(m, low) + 5 * (m.flat == double.flat)
-    )
+    wrong_eigenvalue(monkeypatch, g, double, 5)
     assert verify_eigenvector(g, label) == lam
     with pytest.raises(EigenvectorMismatchError, match=f"label index {matrix_to_index(double)}:"):
         verify_eigenvector(g, double)
@@ -449,8 +453,6 @@ def test_flipped_pair_misses_the_transform_at_exactly_its_rows(q, n):
 
 
 def test_walsh_mu_does_not_hide_a_wrong_eigenvalue(monkeypatch):
-    from unitgraph import graph as graph_mod
-
     F4 = field_of_order(4)
     g = build_graph(F4, 2)
     label = rank_representative(F4, 2, 1)
@@ -458,7 +460,7 @@ def test_walsh_mu_does_not_hide_a_wrong_eigenvalue(monkeypatch):
     assert g._walsh is not None
     charsum = eigenvalue_charsum
     off = lambda m: charsum(m) + 2 * (m.flat == label.flat)  # keeps d - lambda even
-    monkeypatch.setattr(graph_mod, "_charsum", lambda m, low: off(m))
+    wrong_eigenvalue(monkeypatch, g, label, 2)
     monkeypatch.setitem(globals(), "eigenvalue_charsum", off)  # the oracle's lambda too
     expected = coordinate_oracle(g, label)
     assert expected[1] is not None
@@ -472,8 +474,8 @@ def test_p2_graphs_keep_no_passed_partitions():
     g = build_graph(field_of_order(4), 2)
     spectrum_from_graph(g)
     assert not g._passed
-    assert all(  # every label was passed by the transform, not by the columns
-        _walsh_holds(g, _exponents(g.ctx, 2, label.flat, 4), eigenvalue_charsum(label))
+    assert g._duals_hold and all(  # every label was passed by the transform, not by the columns
+        g._walsh[_dual_index(g.ctx, 2, label.flat)] == eigenvalue_charsum(label)
         for label in enumerate_matrices(g.ctx, 2)
     )
     tampered = swapped_graph(g, 3, 17)
@@ -483,7 +485,46 @@ def test_p2_graphs_keep_no_passed_partitions():
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (4, 2), (5, 2)])
+def test_one_wrong_cached_eigenvalue_fails_the_spectrum(q, n, monkeypatch):
+    graph = build_graph(field_of_order(q), n)
+    wrong_eigenvalue(monkeypatch, graph, rank_representative(graph.ctx, n, 1), 1)
+    with pytest.raises(CheckFailedError):
+        spectrum_from_graph(graph)
+
+
+def test_basis_check_refuses_a_map_without_the_trace_dual(monkeypatch):
+    # a label passes without its exponents only once the map holds on the
+    # basis labels; the transposed label alone fails that check at odd p and
+    # at q = 4 too, where every eigenvalue it reads is right
+    from unitgraph import graph as graph_mod
+
+    def transposed_index(ctx, n, flat):
+        entries = tuple(flat[j * n + i] for i in range(n) for j in range(n))
+        return matrix_to_index(Matrix(ctx, n, entries))
+
+    graphs = [build_graph(field_of_order(q), n) for q, n in [(4, 2), (8, 2), (9, 1), (27, 1)]]
+    assert all(g._duals_hold for g in graphs)
+    monkeypatch.setattr(graph_mod, "_dual_index", transposed_index)
+    for g in graphs:
+        del g.__dict__["_duals_hold"]
+    assert not any(g._duals_hold for g in graphs)
+    g4, g8, g9, _ = graphs
+    assert spectrum_from_graph(g4).lines == spectrum_closed_form(4, 2).lines
+    assert spectrum_from_graph(g9).lines == spectrum_closed_form(9, 1).lines
+    assert not g9._passed  # no label passed as a multiple of another
+    misread = next(
+        m for m in enumerate_matrices(g8.ctx, 2)
+        if g8._eigenvalues[transposed_index(g8.ctx, 2, m.flat)] != eigenvalue_charsum(m)
+    )
+    with pytest.raises(EigenvectorMismatchError):
+        verify_eigenvector(g8, misread)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (4, 2), (5, 2)])
 def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
+    # after the basis labels of ``_duals_hold``, a label builds its exponents
+    # at most once: at p = 2 none does, as each passes on the transform, and
+    # at odd p one label per F_p^* orbit, the rest passing as its multiples
     from unitgraph import graph as graph_mod
     from unitgraph import spectra as spectra_mod
 
@@ -495,9 +536,15 @@ def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
 
     monkeypatch.setattr(graph_mod, "_exponents", spy)
     monkeypatch.setattr(spectra_mod, "_exponents", spy)
-    s = spectrum_from_graph(build_graph(field_of_order(q), n))
+    graph = build_graph(field_of_order(q), n)
+    assert graph._duals_hold
+    assert len(labels) == len(set(labels)) == graph.ctx.k * n * n
+    labels.clear()
+    s = spectrum_from_graph(graph)
     assert s.lines == spectrum_closed_form(q, n).lines
-    assert len(labels) == len(set(labels)) == q ** (n * n)
+    p = graph.ctx.p
+    expected = 0 if p == 2 else 1 + (graph.order - 1) // (p - 1)
+    assert len(labels) == len(set(labels)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +605,11 @@ def test_packed_sums_check_rows_not_columns_at_every_label():
 def test_out_of_byte_eigenvalue_is_refused_by_the_guard(monkeypatch):
     # lambda + 256 p keeps d - lambda divisible by p, and every expected digit
     # is then out of byte range: the label must fail where the oracle fails
-    from unitgraph import graph as graph_mod
-
     F5 = field(5)
     g = build_graph(F5, 2)
     charsum = eigenvalue_charsum
     shifted = lambda m: charsum(m) + 256 * 5
-    monkeypatch.setattr(graph_mod, "_charsum", lambda m, low: shifted(m))
+    monkeypatch.setitem(g.__dict__, "_eigenvalues", [lam + 256 * 5 for lam in g._eigenvalues])
     monkeypatch.setitem(globals(), "eigenvalue_charsum", shifted)  # the oracle's lambda too
     for label in sample_labels(F5, 2, 6):
         expected = coordinate_oracle(g, label)
@@ -621,4 +666,4 @@ def test_spectrum_from_graph_with_and_without_packed_columns(q, n, packed, graph
     assert (graph.__dict__["_columns"] is not None) == packed
     p = graph.ctx.p
     assert len(graph._passed) == 1 + (graph.order - 1) // (p - 1)  # one per F_p^* orbit
-    assert all(type(key) is bytes and len(key) == graph.order for key, _ in graph._passed)
+    assert all(type(key) is int and 0 <= key < graph.order for key, _ in graph._passed)
