@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 from .cyclotomic import Cyclotomic
 from .errors import ContextMismatchError, NotRationalError
-from .fields import FieldContext, FieldElement, _all_digits, _number
+from .fields import FieldContext, FieldElement, _all_digits, _digits, _number
 from .matrices import DEFAULT_ENUM_CAP, Matrix, _require_under_cap
 
 
@@ -148,6 +148,15 @@ def _dual_index(ctx: FieldContext, n: int, label_flat: Sequence[int]) -> int:
     return _number([duals[label_flat[j * n + i]] for i in range(n) for j in range(n)], ctx.q)
 
 
+def _index_character(u: int, p: int, digits: int) -> bytes:
+    """Entry t is <u, t> for every t < p^digits, built one digit of t at a
+    time: the exponents ``_exponents`` gives a label with dual index u."""
+    shift, exps = _shift_tables(p), b"\0"
+    for d in _digits(u, p, digits):
+        exps = b"".join(exps.translate(shift[d * x % p]) for x in range(p))
+    return exps
+
+
 def _character_sums(indicator: bytes, p: int) -> list[int]:
     """Entry u is sum_(t in S) zeta_p^<u, t> (``_dual_index``) for the set S
     whose 0/1 indicator over the p^D indices is given: the character sum
@@ -195,8 +204,7 @@ def _transform(indicator: bytes, p: int, width: int) -> bytes:
     holds, and none carries into the next.  The first stage needs no
     rotation: its entries hold exponent 0 alone, so bit a of X_a goes to
     field a c.  With one digit (n = 1 over a prime field) that stage is
-    all, and entry c is the indicator read at e c^-1 for each field e, one
-    byte wide since the set has at most p < 256 members.
+    all.
     """
     order, size = len(indicator), p * width
     m = order // p  # entries per value of the top digit
@@ -204,10 +212,6 @@ def _transform(indicator: bytes, p: int, width: int) -> bytes:
     out = bytearray(order * size)
     out[:: p * size] = sum(int.from_bytes(x, "little") for x in parts).to_bytes(m, "little")
     for c in range(1, p):
-        if m == 1:
-            inverse = pow(c, -1, p)
-            out[c * p : (c + 1) * p] = (indicator * inverse)[::inverse]
-            continue
         for a, x in enumerate(parts):
             out[c * size + a * c % p * width :: p * size] = x
 

@@ -52,10 +52,10 @@ from io import TextIOBase
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
-from .fields import FieldContext, Frozen, _all_digits, _digits, _number, _over_cap, _power
+from .fields import FieldContext, Frozen, _all_digits, _over_cap, _power
 from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _rank_table, gl_order, matrix_count
 from .matrices import matrix_from_index, matrix_to_index
-from .characters import _BYTE_MAX_P, _character_sums, _dual_index, _exponents, _shift_tables
+from .characters import _BYTE_MAX_P, _character_sums, _dual_index, _exponents, _index_character
 from .spectra import Spectrum, SpectrumLine
 
 class CayleyGraph(Frozen):
@@ -81,9 +81,10 @@ class CayleyGraph(Frozen):
         return all(row.bit_count() == self.degree for row in self.rows)
 
     @functools.cached_property
-    def _passed(self) -> set[tuple[int, int]]:
-        """(``_orbit`` of the dual index, lambda) pairs that passed
-        ``verify_eigenvector`` on this graph at odd p."""
+    def _passed(self) -> set[tuple[bytes, int]]:
+        """(partition into exponent buckets, lambda) pairs that passed
+        ``verify_eigenvector`` on this graph at odd p, each partition as
+        ``_partition_key`` spells it."""
         return set()
 
     @functools.cached_property
@@ -141,14 +142,11 @@ class CayleyGraph(Frozen):
         <u, v> as its exponent at every vertex v, u its ``_dual_index``.
         Both are F_p-linear in the label, so then every label's are."""
         ctx, n, p = self.ctx, self.n, self.ctx.p
-        shift = _shift_tables(p)
         for pos, t in itertools.product(range(n * n), range(ctx.k)):
             flat = [0] * (n * n)
             flat[pos] = p**t
-            exps = b"\0"
-            for d in _digits(_dual_index(ctx, n, flat), p, ctx.k * n * n):
-                exps = b"".join(exps.translate(shift[d * x % p]) for x in range(p))
-            if exps != _exponents(ctx, n, flat, n * n):
+            u = _dual_index(ctx, n, flat)
+            if _index_character(u, p, ctx.k * n * n) != _exponents(ctx, n, flat, n * n):
                 return False
         return True
 
@@ -320,17 +318,16 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     byte-packed adjacency columns where a bucket fits a byte, else
     popcounts of the rows.  A column that misses sends the label to the
     popcounts of all p buckets and the coordinate loop, which decides and
-    names the first failing vertex.
+    names the first failing vertex.  A passed check depends only on
+    lambda and the partition into buckets, which the F_p-multiples of a
+    label share, so at odd p the graph keeps the passed pairs and a label
+    with an equal pair skips the columns.
 
-    Once the basis labels hold (``_duals_hold``), the label's exponent at
-    vertex v is <u, v> for its dual index u, and a label may pass without
-    its exponents.  A passed check depends only on lambda and the
-    partition into buckets, which the F_p-multiples cL share, as their
-    dual indices share an ``_orbit``: at odd p the graph keeps the passed
-    (orbit, lambda) pairs, and a label with an equal pair passes.  At
-    p = 2 a lambda equal to the graph's row-checked mu_u passes; a graph
-    with a row that misses, or a lambda that differs, takes the columns.
-    Returns lambda on success.
+    At p = 2, once the basis labels hold (``_duals_hold``), the label's
+    exponent at vertex v is <u, v> for its dual index u, and a lambda
+    equal to the graph's row-checked mu_u passes without the exponents; a
+    graph with a row that misses, or a lambda that differs, takes the
+    columns.  Returns lambda on success.
 
     Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
     fit a byte.
@@ -345,15 +342,13 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
         )
     u = _dual_index(ctx, n, label.flat)
     lam = graph._eigenvalues[u]
-    key = None
-    if graph._duals_hold:  # the label's exponents are <u, v>
-        if p == 2 and graph._walsh is not None and graph._walsh[u] == lam:
-            return lam
-        if p > 2:  # at p = 2 no other label has u's buckets
-            key = (_orbit(u, p), lam)
-            if key in graph._passed:
-                return lam
+    if p == 2 and graph._walsh is not None and graph._walsh[u] == lam and graph._duals_hold:
+        return lam  # the label's exponents are <u, v>, checked by the rows
     exps = _exponents(ctx, n, label.flat, n * n)
+    if p > 2:  # at p = 2 no other label has this partition
+        key = (_partition_key(exps, p), lam)
+        if key in graph._passed:
+            return lam
 
     c, r = divmod(graph.degree - lam, p)
     if not (r == 0 and graph._regular and _columns_hold(graph, exps, c, lam)):
@@ -369,7 +364,7 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
                     f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
                     coordinate=v,
                 )
-    if key:
+    if p > 2:
         graph._passed.add(key)
     return lam
 
@@ -381,15 +376,12 @@ def _marks(p: int) -> tuple[bytes, ...]:
     return tuple(bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p))
 
 
-def _orbit(u: int, p: int) -> int:
-    """u with its base-p digits scaled by the c in F_p^* that makes the
-    lowest nonzero one 1: the same for u and all its nonzero multiples."""
-    digits = []
-    while u:
-        u, d = divmod(u, p)
-        digits.append(d)
-    inverse = pow(next((d for d in digits if d), 1), -1, p)
-    return _number([d * inverse % p for d in digits], p)
+def _partition_key(exps: bytes, p: int) -> bytes:
+    """The exponents relabelled 0, 1, ... in order of first appearance:
+    two labels get the same key exactly when they bucket the vertices the
+    same way."""
+    order = bytes(sorted((e for e in range(p) if e in exps), key=exps.find))
+    return exps.translate(bytes.maketrans(order, bytes(range(len(order)))))
 
 
 def _columns_hold(graph: CayleyGraph, exps: bytes, c: int, lam: int) -> bool:

@@ -19,7 +19,7 @@ from unitgraph import (
 )
 from unitgraph import eigenvalue_charsum, eigenvalue_closed_form, rank_count
 from unitgraph.characters import (
-    _character_sums, _dual_index, _exponents, _exponent_of, _label_terms, _shift_tables,
+    _character_sums, _dual_index, _exponents, _exponent_of, _index_character, _label_terms,
 )
 from unitgraph.errors import NotRationalError
 from unitgraph.fields import _all_digits, _digits, _number
@@ -201,13 +201,14 @@ def transposed_index(ctx, n, flat):
     return _number([flat[j * n + i] for i in range(n) for j in range(n)], ctx.q)
 
 
-def index_character(u, p, digits):
-    """Entry t is <u, t>, the sum of the products of u's and t's base-p
-    digits mod p, built one digit of t at a time."""
-    shift, exps = _shift_tables(p), b"\0"
-    for d in _digits(u, p, digits):
-        exps = b"".join(exps.translate(shift[d * x % p]) for x in range(p))
-    return exps
+@pytest.mark.parametrize("p, digits", [(2, 4), (3, 3), (5, 2)])
+def test_index_character_is_the_digit_product(p, digits):
+    for u in range(p**digits):
+        ud = _digits(u, p, digits)
+        expected = bytes(
+            sum(x * y for x, y in zip(ud, _digits(t, p, digits))) % p for t in range(p**digits)
+        )
+        assert _index_character(u, p, digits) == expected
 
 
 @pytest.mark.parametrize("q, n, sample", [
@@ -285,7 +286,7 @@ def test_dual_index_reproduces_the_exponents(q, sample):
         labels = basis + random.Random(q).sample(labels, sample)
     for flat in labels:
         u = _dual_index(ctx, 2, flat)
-        assert index_character(u, ctx.p, 4 * ctx.k) == _exponents(ctx, 2, flat, 4), flat
+        assert _index_character(u, ctx.p, 4 * ctx.k) == _exponents(ctx, 2, flat, 4), flat
 
 
 def test_transpose_alone_misreads_labels_at_q8_but_not_at_q4():
