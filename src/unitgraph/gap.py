@@ -33,18 +33,18 @@ keeps its objects; from a drawn or read view a ``Matrix`` is built only
 for the two matrices of a witness.
 
 The scan returns the first pair (a, b) in input order and takes one of two
-routes, chosen from q^(n^2) alone.  Up to ``DEFAULT_ENUM_CAP`` matrices it
-tests each a against a whole block of Y at once: b - a is singular
-exactly when its n rows lie in one hyperplane of F_q^n, and the
-hyperplanes are read off the cached rank table, 8 to a byte.  Y is cut
-into two blocks, its first 8 matrices and the rest, each encoded once
-when first reached.  For one a, a block costs n masks per group of 8
-planes and a few whole-integer ANDs and ORs.  The masks are memoised
-per (block, row, value) for the scan: at most n * q^n * ceil(H / 8)
-masks of |Y| bytes for H hyperplanes, and the memo is emptied when it
-passes 64 MiB.  Above the cap (n = 3 and q >= 7) it computes the
-unrolled determinant of every b - a, decoding each y when the first a
-reaches it.  Both routes return the same pair.
+routes, chosen by whether a row of F_q^n fits a byte (q^n <= 256, so
+q <= 5 at n = 3).  Where it fits, the scan tests each a against a whole
+block of Y at once: b - a is singular exactly when its n rows lie in one
+hyperplane of F_q^n, and the hyperplanes come from their normal vectors,
+8 to a byte.  Y is cut into two blocks, its first 8 matrices and the
+rest, each encoded once when first reached.  For one a, a block costs n
+masks per group of 8 planes and a few whole-integer ANDs and ORs.  The
+masks are memoised per (block, row, value) for the scan: at most
+n * q^n * ceil(H / 8) masks of |Y| bytes for H hyperplanes, and the memo
+is emptied when it passes 64 MiB.  Past a byte (n = 3 and q >= 7) the
+scan computes the unrolled determinant of every b - a, decoding each y
+when the first a reaches it.  Both routes return the same pair.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
-from .fields import FieldContext, Frozen, _digits, _over_cap, _power
-from .matrices import DEFAULT_ENUM_CAP, Matrix, _det_flat, _rank_table
+from .fields import FieldContext, Frozen, _all_digits, _digits, _over_cap, _power
+from .matrices import Matrix, _det_flat
 from .matrices import matrix_count, matrix_from_index, matrix_to_index
 from .spectra import eigenvalue_closed_form
 
@@ -172,9 +172,11 @@ def find_invertible_difference(
     """First (a, b) in input order (a over xs outer, b over ys inner) with
     b - a invertible, or None.  Note b - a invertible forces b != a, so a
     single-set query never returns a degenerate pair.  The pair is the
-    objects ``xs[i]`` and ``ys[j]`` themselves."""
+    objects ``xs[i]`` and ``ys[j]`` themselves.  Hyperplane masks find it
+    where a row of F_q^n fits a byte (q^n <= 256), one determinant per
+    pair past that."""
     xs, ys = _views(xs, ys)
-    scan = _table_scan if matrix_count(xs.ctx, xs.n) <= DEFAULT_ENUM_CAP else _pairwise_scan
+    scan = _table_scan if xs.ctx.q**xs.n <= 256 else _pairwise_scan
     hit = scan(xs.ctx, xs.n, xs.indices, ys.indices)
     return None if hit is None else (xs[hit[0]], ys[hit[1]])
 
@@ -202,55 +204,42 @@ def _pairwise_scan(
 
 
 @functools.lru_cache(maxsize=2)
-def _plane_masks(ctx: FieldContext, n: int) -> Callable[[Sequence[int], int], list[int]]:
-    """The hyperplanes of F_q^n, read off the rank table, 8 to a byte.
+def _plane_masks(ctx: FieldContext, n: int) -> Callable[[bytes, int], list[int]]:
+    """The hyperplanes of F_q^n for q^n <= 256, 8 to a byte.
 
-    Slice c of q^n bytes of the table fixes rows 1..n-1 and runs over
-    row 0.  When it holds the value n, those rows span a hyperplane, and
-    the positions that read n - 1 are that hyperplane; the distinct such
-    slices are all (q^n - 1) / (q - 1) hyperplanes, numbered in order of
-    first appearance.  The returned function takes a column of row values
-    (bytes where q^n <= 256, a list past that) and a row value v, and
-    gives one integer per group of 8 planes whose byte j has bit k set
-    when plane k of the group contains rows[j] - v.
+    Each normal vector w whose last nonzero coordinate is 1 gives one of
+    the (q^n - 1) / (q - 1) planes, the rows u with w . u = 0.  Byte u of
+    w's dot string is w . u, built one coordinate of u at a time with
+    ``bytes.translate``.  The returned function takes a column of row
+    values as bytes and a row value v, and gives one integer per group of
+    8 planes whose byte j has bit k set when plane k of the group contains
+    rows[j] - v.
     """
-    q, size, table = ctx.q, ctx.q**n, _rank_table(ctx, n)
-    add, neg = ctx._add, ctx._neg
-    slices = (table[c : c + size] for c in range(0, len(table), size))
-    planes = list(dict.fromkeys(s for s in slices if n in s))
-    groups = []  # per group of 8 planes, byte u holds the planes that contain u
-    for g in range(0, len(planes), 8):
-        packed = 0
-        for k, plane in enumerate(planes[g : g + 8]):
-            bit = bytes(n - 1) + bytes([1 << k]) + bytes(256 - n)  # rank n - 1 -> bit k, else 0
-            packed |= int.from_bytes(plane.translate(bit), "little")
-        groups.append(packed.to_bytes(size, "little"))
+    q, add, mul = ctx.q, ctx._add, ctx._mul
+    plus = [bytes(row).ljust(256, b"\0") for row in add]  # e -> e + c, for bytes.translate
+    planes = []  # byte u of plane w is w . u
+    for w in _all_digits(q, n):
+        if next(filter(None, reversed(w)), 0) == 1:
+            dots = b"\0"
+            for c in w:  # the next coordinate x of u adds c * x
+                dots = b"".join(dots.translate(plus[mul[c][x]]) for x in range(q))
+            planes.append(dots)
 
-    @functools.lru_cache(maxsize=4)  # the rows of one a, for both blocks of Y
-    def minus(v: int) -> list[int]:  # position u holds the index of u - v
-        where, place = [0], 1
-        for digit in _digits(v, q, n):  # u's next digit x adds place * (x - digit)
-            where = [place * x + t for x in add[neg[digit]] for t in where]
-            place *= q
-        return where
+    @functools.cache  # at most 256 row values
+    def tables(v: int) -> list[bytes]:
+        """Per group of 8 planes, byte u flags the planes w with w . u = w . v,
+        those that contain u - v; 256 bytes each, for bytes.translate."""
+        groups = []
+        for g in range(0, len(planes), 8):
+            packed = 0
+            for k, dots in enumerate(planes[g : g + 8]):
+                flag = bytearray(256)
+                flag[dots[v]] = 1 << k
+                packed |= int.from_bytes(dots.translate(flag), "little")
+            groups.append(packed.to_bytes(256, "little"))
+        return groups
 
-    if size <= 256:
-
-        @functools.cache  # at most 256 row values
-        def tables(v: int) -> list[bytes]:  # the groups at u - v, padded for bytes.translate
-            return [bytes(map(group.__getitem__, minus(v))).ljust(256, b"\0") for group in groups]
-
-        return lambda rows, v: [int.from_bytes(rows.translate(t), "little") for t in tables(v)]
-
-    # a row value is wider than a byte (n <= 2): the groups of every row
-    # value as one string, so that one join reads all groups of a column
-    across = [bytes(column) for column in zip(*groups)]
-
-    def wide(rows: Sequence[int], v: int) -> list[int]:
-        flags = b"".join(map(across.__getitem__, map(minus(v).__getitem__, rows)))
-        return [int.from_bytes(flags[g :: len(groups)], "little") for g in range(len(groups))]
-
-    return wide
+    return lambda rows, v: [int.from_bytes(rows.translate(t), "little") for t in tables(v)]
 
 
 _HEAD = 8  # Y is scanned as ys[:_HEAD] and the rest: an early hit encodes 8 matrices
@@ -262,16 +251,15 @@ def _table_scan(
 ) -> tuple[int, int] | None:
     """The scan by hyperplane masks; the positions (i, j) of the first hit.
 
-    Each block of Y is encoded once, one column per row position: bytes
-    where a row value fits a byte (every table at n = 3), a list past
-    that.  Row r of an a, of value v, gives per group of 8 planes one
-    integer whose byte j flags the planes that contain row r of y_j - a
-    (``_plane_masks``), memoised per (block, r, v).  ANDing the rows within
-    each group and ORing the groups flags every singular y of the block,
-    and the first zero byte is the hit.
+    For q^n <= 256, where a row value fits a byte.  Each block of Y is
+    encoded once, one bytes column per row position.  Row r of an a, of
+    value v, gives per group of 8 planes one integer whose byte j flags
+    the planes that contain row r of y_j - a (``_plane_masks``), memoised
+    per (block, r, v).  ANDing the rows within each group and ORing the
+    groups flags every singular y of the block, and the first zero byte
+    is the hit.
     """
     size, plane_masks = ctx.q**n, _plane_masks(ctx, n)
-    column = bytes if size <= 256 else list
     places = [size**r for r in range(n)]
     blocks, columns = [(0, _HEAD), (_HEAD, len(ys))], []
     memo: dict[tuple[int, int, int], list[int]] = {}
@@ -282,7 +270,7 @@ def _table_scan(
             if start >= len(ys):
                 break
             if k == len(columns):  # row r of every y: digit r in base q^n
-                columns.append([column(y // p % size for y in ys[start:stop]) for p in places])
+                columns.append([bytes(y // p % size for y in ys[start:stop]) for p in places])
             planes = None
             for r, v in enumerate(rows):
                 masks = memo.get((k, r, v))

@@ -355,7 +355,7 @@ def test_gap_cli_random_reports_match_sampled_lists(capsys, size, trials):
 
 @pytest.mark.parametrize("size, trials", [(50, 3), (117995, 1)])
 def test_gap_cli_pairwise_reports_match_sampled_lists(capsys, size, trials):
-    # q = 7 is above the enumeration cap: the pairwise route reads a drawn Y,
+    # at q = 7 a row (343 values) is past a byte: the pairwise route reads a drawn Y,
     # and 117995 is the least size the bound 117994 guarantees
     code, out, _ = run(capsys, "gap", "--q", "7", "--random-size", str(size),
                        "--trials", str(trials), "--seed", "1", "--format", "json")

@@ -23,6 +23,8 @@ from unitgraph import (
     spectral_threshold,
 )
 from unitgraph import gap as gap_mod
+from unitgraph import matrices
+from unitgraph.cli import main
 from unitgraph.fields import _digits, _number
 from unitgraph.gap import IndexSubset
 
@@ -215,10 +217,10 @@ def _left_kernel_matrix(ctx, n, w, rows):
     return Matrix(ctx, n, tuple(itertools.chain(*rows)))
 
 
-# (q, n) of the table route: rows of one byte up to q^n = 64, and rows
-# wider than a byte at (17, 2) and (257, 1)
+# (q, n) of the table route, where a row fits a byte: up to q^n = 64 and at
+# q^n = 256; and the pairwise route just past a byte at (17, 2) and (257, 1)
 SCAN_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3)]
-SCAN_CASES += [(17, 2), (257, 1)]
+SCAN_CASES += [(16, 2), (4, 4), (17, 2), (257, 1)]
 
 
 @st.composite
@@ -260,25 +262,56 @@ def _indices(ms):
 @given(scan_inputs())
 def test_table_scan_matches_pairwise_scan(case):
     ctx, n, xs, ys, kernel = case
-    table = gap_mod._table_scan(ctx, n, _indices(xs), _indices(ys))
-    pairwise = gap_mod._pairwise_scan(ctx, n, _indices(xs), _indices(ys))
-    assert table == pairwise
+    # the first hit in input order, pair by pair
+    hits = ((i, j) for i, a in enumerate(xs) for j, b in enumerate(ys) if (b - a).is_invertible())
+    first = next(hits, None)
     if kernel:
-        assert table is None
-    expected = None
-    if table is not None:
-        i, j = table
-        expected = (xs[i], ys[j])
-        assert (ys[j] - xs[i]).is_invertible()
-        # the first hit in input order: no earlier pair is invertible
-        assert not any((b - xs[i]).is_invertible() for b in ys[:j])
-        assert not any((b - a).is_invertible() for a in xs[:i] for b in ys)
-    # under the enumeration cap the public scan takes the table route and
-    # returns the objects at those positions, for lists and for views alike
-    assert _same_pair(find_invertible_difference(xs, ys), expected)
+        assert first is None
+    assert gap_mod._pairwise_scan(ctx, n, _indices(xs), _indices(ys)) == first
+    if ctx.q**n <= 256:
+        assert gap_mod._table_scan(ctx, n, _indices(xs), _indices(ys)) == first
+    # the public scan takes the route of its size and returns the objects
+    # at those positions, for lists and for views alike
+    assert _same_pair(find_invertible_difference(xs, ys), first and (xs[first[0]], ys[first[1]]))
     vx, vy = IndexSubset(ctx, n, _indices(xs)), IndexSubset(ctx, n, _indices(ys))
     found = find_invertible_difference(vx, vy)
-    assert _same_pair(found, None if table is None else (vx[table[0]], vy[table[1]]))
+    assert _same_pair(found, first and (vx[first[0]], vy[first[1]]))
+
+
+@pytest.mark.parametrize(
+    "q, n, route",
+    [(16, 2, "_table_scan"), (4, 4, "_table_scan"), (2, 8, "_table_scan")]
+    + [(17, 2, "_pairwise_scan"), (7, 3, "_pairwise_scan"), (257, 1, "_pairwise_scan")],
+)
+def test_the_masks_run_exactly_where_a_row_fits_a_byte(q, n, route, monkeypatch):
+    # q^n <= 256 takes the hyperplane masks, anything larger the determinants
+    called = []
+
+    def spy(name, scan):
+        return lambda *args: called.append(name) or scan(*args)
+
+    for name in ("_table_scan", "_pairwise_scan"):
+        monkeypatch.setattr(gap_mod, name, spy(name, getattr(gap_mod, name)))
+    ctx, rng = field_of_order(q), random.Random(q * n)
+    zero, one = Matrix.zero(ctx, n), Matrix.identity(ctx, n)
+    anything = [matrix_from_index(ctx, n, rng.randrange(q ** (n * n))) for _ in range(20)]
+    ys = [one, *anything, zero]  # ends in one - zero, which is invertible
+    first = next(j for j, b in enumerate(ys) if (b - one).is_invertible())
+    assert _same_pair(find_invertible_difference([one], ys), (one, ys[first]))
+    assert called == [route]
+
+
+def test_the_scan_builds_no_rank_table(capsys):
+    # the hyperplanes come from normal vectors, at q = 4 and in a CLI query at q = 3
+    matrices._rank_table.cache_clear()
+    gap_mod._plane_masks.cache_clear()
+    rng = random.Random(28)
+    F4 = field_of_order(4)
+    report = check_spectral_gap(random_subset(F4, 3, 40, rng), random_subset(F4, 3, 40, rng))
+    assert report.witness is not None
+    assert main(["gap", "--q", "3", "--random-size", "759"]) == 0
+    assert "witness" in capsys.readouterr().out
+    assert matrices._rank_table.cache_info().misses == 0
 
 
 @st.composite
@@ -343,14 +376,14 @@ def test_a_list_is_numbered_once_per_query(monkeypatch):
     assert any(a is m for m in xs) and any(b is m for m in ys)
 
 
-@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (9, 2), (17, 2), (257, 1)])
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (9, 2), (16, 2), (4, 4)])
 def test_plane_masks_flag_every_hyperplane(q, n):
-    # the slices of the rank table give each hyperplane of F_q^n once, and
-    # the masks of a row value v flag at row u the planes that hold u - v
+    # the normal vectors give each hyperplane of F_q^n once, and the masks
+    # of a row value v flag at row u the planes that hold u - v
     ctx = field_of_order(q)
     size = q**n
     masks = gap_mod._plane_masks(ctx, n)
-    every = (bytes if size <= 256 else list)(range(size))
+    every = bytes(range(size))
 
     def flags(v):
         return [mask.to_bytes(size, "little") for mask in masks(every, v)]
@@ -364,21 +397,20 @@ def test_plane_masks_flag_every_hyperplane(q, n):
     planes = [plane for plane in planes if plane]
     assert len(planes) == len(set(planes)) == (size - 1) // (q - 1)
     add, mul, neg = ctx._add, ctx._mul, ctx._neg
-
-    def combine(u, c, w):  # the row u + c w, by index
-        pairs = zip(_digits(u, q, n), _digits(w, q, n))
-        return _number([add[x][mul[c][y]] for x, y in pairs], q)
-
-    for plane in planes:
+    rows = [_digits(u, q, n) for u in range(size)]
+    plus = [[_number([add[x][y] for x, y in zip(a, b)], q) for b in rows] for a in rows]
+    times = [[_number([mul[c][x] for x in a], q) for a in rows] for c in range(q)]
+    for plane in planes:  # a subspace: closed under scaling and under sums
         assert len(plane) == q ** (n - 1) and 0 in plane
-        assert all(combine(u, c, w) in plane for u in plane for w in plane for c in range(q))
+        assert all(times[c][u] in plane for u in plane for c in range(q))
+        assert all(plus[u][w] in plane for u in plane for w in plane)
     for v in (1, size - 1, size // 2):
-        minus_v = _number([neg[x] for x in _digits(v, q, n)], q)
+        minus_v = times[neg[1]][v]
         for group, zero in zip(flags(v), at_zero):
-            assert all(group[u] == zero[combine(u, 1, minus_v)] for u in range(size))
+            assert all(group[u] == zero[plus[u][minus_v]] for u in range(size))
 
 
-@pytest.mark.parametrize("q, n", [(3, 3), (17, 2)])
+@pytest.mark.parametrize("q, n", [(3, 3), (16, 2), (4, 4)])
 def test_table_scan_without_the_memo_matches_pairwise_scan(q, n, monkeypatch):
     # a memo over its byte budget is emptied before each new mask: the scan
     # then rebuilds every mask and must still return the same pair
@@ -398,7 +430,7 @@ def test_table_scan_without_the_memo_matches_pairwise_scan(q, n, monkeypatch):
 
 
 def test_pairwise_route_above_the_cap(monkeypatch):
-    # q = 7, n = 3 has 7^9 > DEFAULT_ENUM_CAP matrices: no rank table is built
+    # at q = 7, n = 3 a row has 343 values, past a byte: one determinant per pair
     F7 = field(7)
     monkeypatch.setattr(gap_mod, "_table_scan", None)
     zero, one = Matrix.zero(F7, 3), Matrix.identity(F7, 3)
