@@ -11,13 +11,13 @@ the 512-vertex graph costs ~32 KiB.  The rows come from a determinant
 bitmap, bit t set iff the unrolled determinant of matrix t is nonzero:
 row i is that bitmap translated by matrix i, a digit-wise permutation of
 its bits, so bit j of row i is det(B_j - B_i) != 0 without a determinant
-per pair.  The bitmap does not read the rank table, so the graph checks
-it independently.
+per pair.  The bitmap does not read the rank blocks, so the graph checks
+them independently.
 
-Every label's eigenvalue comes from one transform of the rank table's
-GL indicator (``characters._character_sums``), read at the label's
+Every label's eigenvalue comes from one transform of the GL indicator
+read off the rank bytes (``characters._character_sums``), at the label's
 trace-dual index; the rows check each one, and each label's rank is its
-rank-table byte.
+rank byte.
 
 A row/eigenvector product reduces to p popcounts: bucket the vertices by
 character exponent once per label, then count neighbors per bucket with
@@ -53,7 +53,7 @@ from io import TextIOBase
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
 from .fields import FieldContext, Frozen, _all_digits, _over_cap, _power
-from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _rank_table, gl_order, matrix_count
+from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _rank_bytes, gl_order, matrix_count
 from .matrices import matrix_from_index, matrix_to_index
 from .characters import _BYTE_MAX_P, _character_sums, _dual_index, _exponents, _index_character
 from .spectra import Spectrum, SpectrumLine
@@ -131,9 +131,9 @@ class CayleyGraph(Frozen):
     @functools.cached_property
     def _eigenvalues(self) -> list[int]:
         """Entry u is the character sum over GL_n(F_q) of every label whose
-        ``_dual_index`` is u: one transform of the rank table's GL
+        ``_dual_index`` is u: one transform of the rank bytes' GL
         indicator, which shares nothing with the rows."""
-        gl = _rank_table(self.ctx, self.n).translate(bytes(r == self.n for r in range(256)))
+        gl = _rank_bytes(self.ctx, self.n).translate(bytes(r == self.n for r in range(256)))
         return _character_sums(gl, self.ctx.p)
 
     @functools.cached_property
@@ -170,7 +170,7 @@ def build_graph(ctx: FieldContext, n: int, max_order: int = DEFAULT_MAX_ORDER) -
     """Build the graph from a determinant bitmap and validate its invariants.
 
     Bit t of the bitmap is det(B_t) != 0 by the unrolled determinant,
-    nothing shared with the rank table or the group-theoretic shortcuts,
+    nothing shared with the rank blocks or the group-theoretic shortcuts,
     because this object is the ground truth they are checked against.
     Row i is the bitmap translated by B_i: bit j is det(B_j - B_i) != 0.
     """
@@ -307,7 +307,7 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
 
     v has the character value zeta_p^e_v at every vertex v; lambda is the
     label's character sum over the invertible matrices, read at the
-    label's dual index from the graph's transform of the rank table
+    label's dual index from the graph's transform of the rank bytes
     (``CayleyGraph._eigenvalues``), so the rows check it.  The vertices
     are bucketed by exponent, and coordinate v of A v is
     sum_e counts[e] zeta_p^e, where counts[e] is the number of v's
@@ -432,14 +432,14 @@ def spectrum_from_graph(graph: CayleyGraph) -> Spectrum:
     The character vectors are pairwise orthogonal and nonzero, so once
     every label passes, the bucketed eigenvalues with their class sizes
     are the complete spectrum (the multiplicity sum is re-checked by
-    ``Spectrum.validate``).  A label's rank is its rank-table byte, and the
+    ``Spectrum.validate``).  A label's rank is its rank byte, and the
     class sizes are counted.  Also checks that the eigenvalue is constant on
     each rank class rather than assuming it.
     """
     ctx, n = graph.ctx, graph.n
     by_rank: dict[int, int] = {}
     counts: dict[int, int] = {}
-    for flat, r in zip(_all_digits(ctx.q, n * n), _rank_table(ctx, n)):
+    for flat, r in zip(_all_digits(ctx.q, n * n), _rank_bytes(ctx, n)):
         lam = verify_eigenvector(graph, Matrix(ctx, n, flat))
         if by_rank.setdefault(r, lam) != lam:
             raise CheckFailedError(

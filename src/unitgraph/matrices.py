@@ -14,15 +14,16 @@ exposed and invertible, so stored vertex/subset indices are reproducible
 bit-for-bit across runs; they and the enumeration use the digit codec of
 ``fields``.
 
-Exhaustive work reads one cached table per (field, n), a rank byte per
-enumeration index: the rank census is its histogram and GL_n(F_q) is the
-stream of matrices whose byte is n.  ``Matrix.rank`` and determinants for
-n > 3 share one elimination routine; the unrolled n <= 3 determinant is
-kept apart, so the graph built from it checks the table independently.
+Exhaustive work reads cached rank blocks, shared between equal row spans,
+a rank byte per enumeration index: the rank census is their histogram and
+GL_n(F_q) is the stream of matrices whose byte is n.  ``Matrix.rank`` and
+determinants for n > 3 share one elimination routine; the unrolled n <= 3
+determinant is kept apart, so the graph built from it checks the blocks.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from collections.abc import Iterable, Iterator, Sequence
@@ -264,27 +265,27 @@ def enumerate_invertible(
 ) -> Iterator[Matrix]:
     """The subsequence of ``enumerate_matrices`` with nonzero determinant."""
     _require_under_cap(ctx, n, cap)
-    mask = _rank_table(ctx, n).translate(bytes(r == n for r in range(256)))
+    is_gl = bytes(r == n for r in range(256))
+    mask = itertools.chain.from_iterable(block.translate(is_gl) for block in _rank_blocks(ctx, n))
     for flat in itertools.compress(_all_digits(ctx.q, n * n), mask):
         yield Matrix(ctx, n, flat)
 
 
 @functools.lru_cache(maxsize=2)
-def _rank_table(ctx: FieldContext, n: int) -> bytes:
-    """The rank of every matrix: byte ``t`` is the rank of matrix ``t``.
+def _rank_blocks(ctx: FieldContext, n: int) -> list[bytes]:
+    """Byte u of block i is the rank of matrix i q^n + u, whose row 0 is u.
 
-    Rows 1..n-1 are chosen first, as the base-q^n digits of t // q^n in
-    index order, and their span is carried as a frozenset of row indices
-    (a row's index is its own n digits of the matrix index).  The spans
-    are built level by level, row n-1 (the slowest) first, so level k
-    lists the span of rows n-k..n-1 for each of their choices in index
-    order.  Extending a span by a row u outside it builds the new
-    subspace once and records it for every other row it adds, so each
-    subspace is built once per subspace one dimension below it.  Row 0 is
-    the least significant digit block, so the q^n completions of one
-    choice are contiguous: rank(span) inside the span, one more outside.
+    Rows 1..n-1 are the base-q^n digits of i, and their span is carried as a
+    frozenset of row indices (a row's index is its own n digits of the matrix
+    index).  The spans are built level by level, row n-1 (the slowest) first, so
+    level k lists the span of rows n-k..n-1 for each of their choices in index
+    order.  Extending a span by a row u outside it builds the new subspace once
+    and records it for every other row it adds, so each subspace is built once
+    per subspace one dimension below it.  A block reads rank(span) inside the
+    span and one more outside, so equal spans share one ``bytes`` object:
+    sum_{d<n} [n, d]_q distinct blocks in all.
 
-    Callers check their own enumeration cap first; the table is uncapped.
+    Callers check their own enumeration cap first; the blocks are uncapped.
     """
     q, size = ctx.q, ctx.q**n
     add, mul = ctx._add, ctx._mul
@@ -315,7 +316,14 @@ def _rank_table(ctx: FieldContext, n: int) -> bytes:
     level = [frozenset([0])]
     for _ in range(n - 1):
         level = [extend(span, u) for span in level for u in range(size)]
-    return b"".join(map(complete, level))
+    return list(map(complete, level))
+
+
+def _rank_bytes(ctx: FieldContext, n: int, lo: int = 0, hi: int | None = None) -> bytes:
+    """Byte t - lo is the rank of matrix t, lo <= t < hi (default: all): the covering blocks."""
+    size, blocks = ctx.q**n, _rank_blocks(ctx, n)
+    first, hi = lo // size, len(blocks) * size if hi is None else hi
+    return b"".join(blocks[first : -(-hi // size)])[lo - first * size : hi - first * size]
 
 
 def gl_order(q: int, n: int) -> int:
@@ -332,8 +340,13 @@ def gl_order(q: int, n: int) -> int:
 def rank_census(ctx: FieldContext, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
     """Exhaustive count of matrices by rank: counts[r] for r = 0..n."""
     _require_under_cap(ctx, n, cap)
-    table = _rank_table(ctx, n)
-    return [table.count(r) for r in range(n + 1)]
+    return _rank_census(ctx, n)
+
+
+def _rank_census(ctx: FieldContext, n: int) -> list[int]:
+    """``rank_census`` uncapped: each distinct block's histogram times its copies."""
+    blocks = collections.Counter(_rank_blocks(ctx, n))
+    return [sum(k * block.count(r) for block, k in blocks.items()) for r in range(n + 1)]
 
 
 def indices_from_index_file(ctx: FieldContext, n: int, lines: Iterable[str]) -> list[int]:

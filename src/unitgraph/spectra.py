@@ -10,8 +10,8 @@ deliberately separate so they can cross-check each other:
   label is the exact character sum over all invertible matrices, computed
   by histogramming trace exponents and contracting against roots of unity
   once.  The invertible matrices, and the pinned-entry counts below, are
-  read off the cached rank table of ``matrices``; the closed forms never
-  touch it.
+  read off the cached rank blocks of ``matrices``; the closed forms never
+  touch them.
 
 The closed form for label rank r (Kiani and Mollahajiaghaei, "On the
 unitary Cayley graphs of matrix algebras"):
@@ -27,20 +27,15 @@ integer raises rather than rounding.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from .characters import _BYTE_MAX_P, _exponents, _shift_tables
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, InexactDivisionError
 from .fields import FieldContext, Frozen
-from .matrices import (
-    DEFAULT_ENUM_CAP,
-    Matrix,
-    _rank_table,
-    _require_under_cap,
-    gl_order,
-    rank_representative,
-)
+from .matrices import DEFAULT_ENUM_CAP, Matrix, _rank_blocks, _rank_bytes, _rank_census
+from .matrices import _require_under_cap, gl_order, rank_representative
 
 
 class SpectrumLine(Frozen):
@@ -197,8 +192,8 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     matrices whose most significant entry is d, and their exponents are
     the low-digit exponent bytes shifted by Tr(a * d).  Blocks are
     counted in chunks of at most ``_CHUNK`` matrices (a long block is cut,
-    short consecutive blocks are joined): the chunk's slice of the rank
-    table, translated to 0xff for rank n and 0 otherwise, is ANDed with
+    short consecutive blocks are joined): the chunk's rank bytes,
+    translated to 0xff for rank n and 0 otherwise, are ANDed with
     its exponents as one integer, so every singular matrix
     reads exponent 0 (exponents up to 250 leave no spare byte value or
     bit to mark them instead).  Only the nonzero exponents are counted;
@@ -209,14 +204,14 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     """
     ctx, n = label.ctx, label.n
     _require_under_cap(ctx, n, cap)
-    table = _rank_table(ctx, n)
-    invertible = table.count(n)
+    invertible = _rank_census(ctx, n)[n]
     if not any(label.flat):
         return invertible
     is_gl = bytes(n) + b"\xff" + bytes(255 - n)  # rank n -> all ones, every other rank -> 0
     counts = [0] * ctx.p
     if ctx.p > _BYTE_MAX_P:  # exponents wider than a byte: count them one by one
-        for e in itertools.compress(_exponents(ctx, n, label.flat, n * n), table.translate(is_gl)):
+        gl = _rank_bytes(ctx, n).translate(is_gl)  # n = 1 under the default cap: one block
+        for e in itertools.compress(_exponents(ctx, n, label.flat, n * n), gl):
             counts[e] += 1
         return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
     top = n * n - 1  # b[n-1, n-1], which meets the label entry a[n-1, n-1]
@@ -228,7 +223,8 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
         shifts = [shift[ctx._trace[ctx._mul[a][e]]] for e in range(d, min(d + per, ctx.q))]
         for start in range(0, size, _CHUNK):
             exps = b"".join(low[start : start + _CHUNK].translate(s) for s in shifts)
-            mask = table[d * size + start : d * size + start + len(exps)].translate(is_gl)
+            lo = d * size + start
+            mask = _rank_bytes(ctx, n, lo, lo + len(exps)).translate(is_gl)
             kept = int.from_bytes(exps, "little") & int.from_bytes(mask, "little")
             kept = kept.to_bytes(len(exps), "little")  # a singular matrix reads exponent 0
             for e in range(1, ctx.p):
@@ -260,22 +256,22 @@ def count_invertible_pinned(
 ) -> list[list[int]]:
     """N[a][b] = |{B in GL_n(F_q) : B[0,0] = a, B[1,1] = b}|, by element index.
 
-    One pass over the rank table: B[0,0] is digit 0 of the enumeration
-    index, so ``table[a::q]`` pins it to a, and B[1,1] (digit n+1) is then
-    constant on each run of q^n consecutive bytes.  The corner count for a
-    is ``sum(N[a])``.
+    Read off the rank blocks: B[0,0] is digit 0 within a block, so
+    ``block[a::q]`` pins it to a, and B[1,1] is digit 1 of the block index.
+    Each distinct block's pinned counts are taken once and weighted by its
+    copies at each B[1,1].  The corner count for a is ``sum(N[a])``.
     """
     if n < 2:
         raise ValueError(f"pinning B[1,1] needs n >= 2, got {n}")
     _require_under_cap(ctx, n, cap)
     q = ctx.q
-    table = _rank_table(ctx, n)
-    block = q**n
+    blocks = _rank_blocks(ctx, n)
+    copies = collections.Counter((block, i // q % q) for i, block in enumerate(blocks))
+    pinned = {block: [block[a::q].count(n) for a in range(q)] for block in set(blocks)}
     grid = [[0] * q for _ in range(q)]
-    for a in range(q):
-        pinned = table[a::q]
-        for start in range(0, len(pinned), block):
-            grid[a][start // block % q] += pinned[start : start + block].count(n)
+    for (block, b), k in copies.items():
+        for a, count in enumerate(pinned[block]):
+            grid[a][b] += k * count
     return grid
 
 

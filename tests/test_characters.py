@@ -23,7 +23,7 @@ from unitgraph.characters import (
 )
 from unitgraph.errors import NotRationalError
 from unitgraph.fields import _all_digits, _digits, _number
-from unitgraph.matrices import _rank_table, enumerate_matrices, matrix_count
+from unitgraph.matrices import _rank_bytes, enumerate_matrices, matrix_count
 from unitgraph.spectra import _krawtchouk
 
 F2 = field(2)
@@ -191,8 +191,8 @@ def test_exponents_match_pointwise_exponents(q, n):
 
 
 def rank_indicator(ctx, n, k):
-    """Byte t is 1 iff matrix t has rank k, read off the rank table."""
-    return _rank_table(ctx, n).translate(bytes(r == k for r in range(256)))
+    """Byte t is 1 iff matrix t has rank k, read off the rank bytes."""
+    return _rank_bytes(ctx, n).translate(bytes(r == k for r in range(256)))
 
 
 def transposed_index(ctx, n, flat):
@@ -233,7 +233,7 @@ def test_transform_is_constant_on_rank_classes_and_equals_the_product_form(q, n)
     sums = _character_sums(rank_indicator(ctx, n, n), ctx.p)  # raises unless all rational
     values = [set() for _ in range(n + 1)]
     sizes = [0] * (n + 1)
-    for flat, r in zip(_all_digits(q, n * n), _rank_table(ctx, n)):
+    for flat, r in zip(_all_digits(q, n * n), _rank_bytes(ctx, n)):
         values[r].add(sums[_dual_index(ctx, n, flat)])
         sizes[r] += 1
     assert values == [{eigenvalue_closed_form(q, r, n)} for r in range(n + 1)]
@@ -245,7 +245,7 @@ def test_rank_k_transforms_are_delsartes_eigenmatrix(q, n):
     # the transform of the rank-k indicator is the eigenvalue of every label
     # in the graph joining matrices whose difference has rank k
     ctx = field_of_order(q)
-    table = _rank_table(ctx, n)
+    table = _rank_bytes(ctx, n)
     duals = [_dual_index(ctx, n, flat) for flat in _all_digits(q, n * n)]
     for k in range(n + 1):
         sums = _character_sums(rank_indicator(ctx, n, k), ctx.p)
@@ -299,6 +299,6 @@ def test_transpose_alone_misreads_labels_at_q8_but_not_at_q4():
         closed = [eigenvalue_closed_form(q, r, 2) for r in range(3)]
         misread[q] = sum(
             sums[transposed_index(ctx, 2, flat)] != closed[r]
-            for flat, r in zip(_all_digits(q, 4), _rank_table(ctx, 2))
+            for flat, r in zip(_all_digits(q, 4), _rank_bytes(ctx, 2))
         )
     assert misread == {4: 0, 8: 432}

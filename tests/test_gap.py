@@ -303,7 +303,7 @@ def test_the_masks_run_exactly_where_a_row_fits_a_byte(q, n, route, monkeypatch)
 
 def test_the_scan_builds_no_rank_table(capsys):
     # the hyperplanes come from normal vectors, at q = 4 and in a CLI query at q = 3
-    matrices._rank_table.cache_clear()
+    matrices._rank_blocks.cache_clear()
     gap_mod._plane_masks.cache_clear()
     rng = random.Random(28)
     F4 = field_of_order(4)
@@ -311,7 +311,7 @@ def test_the_scan_builds_no_rank_table(capsys):
     assert report.witness is not None
     assert main(["gap", "--q", "3", "--random-size", "759"]) == 0
     assert "witness" in capsys.readouterr().out
-    assert matrices._rank_table.cache_info().misses == 0
+    assert matrices._rank_blocks.cache_info().misses == 0
 
 
 @st.composite

@@ -12,6 +12,7 @@ from unitgraph import (
     Matrix,
     SizeTooLargeError,
     build_graph,
+    count_invertible_pinned,
     eigenvalue_charsum,
     enumerate_invertible,
     enumerate_matrices,
@@ -25,7 +26,8 @@ from unitgraph import (
     rank_count,
     rank_representative,
 )
-from unitgraph.matrices import _det_flat, _eliminate, _rank_table, indices_from_index_file
+from unitgraph.matrices import _det_flat, _eliminate, _rank_blocks, _rank_bytes
+from unitgraph.matrices import indices_from_index_file
 
 F2 = field(2)
 F3 = field(3)
@@ -211,8 +213,9 @@ def test_rank_table_matches_elimination():
     exhaustive = [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2)]
     for q, n in exhaustive + [(2, 3), (3, 3), (2, 4)]:
         ctx = field_of_order(q)
-        table = _rank_table(ctx, n)
+        table = _rank_bytes(ctx, n)
         assert len(table) == matrix_count(ctx, n)
+        assert table == b"".join(_rank_blocks(ctx, n))
         for t, m in enumerate(enumerate_matrices(ctx, n)):
             rank, det = _eliminate(ctx, n, m.flat)
             assert table[t] == rank, (q, n, t)
@@ -220,11 +223,15 @@ def test_rank_table_matches_elimination():
                 assert det == _det_flat(ctx, n, m.flat), (q, n, t)
     for q in (4, 5):
         ctx = field_of_order(q)
-        table = _rank_table(ctx, 3)
+        table = _rank_bytes(ctx, 3)
         assert len(table) == matrix_count(ctx, 3)
         rng = random.Random(q)
         for t in rng.sample(range(len(table)), 2000):
-            assert table[t] == _eliminate(ctx, 3, matrix_from_index(ctx, 3, t).flat)[0], (q, t)
+            rank = _eliminate(ctx, 3, matrix_from_index(ctx, 3, t).flat)[0]
+            assert table[t] == rank, (q, t)
+            # a window read joins only the blocks it covers
+            lo, hi = max(0, t - rng.randrange(300)), t + 1 + rng.randrange(300)
+            assert _rank_bytes(ctx, 3, lo, hi) == table[lo:hi], (q, lo, hi)
     for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, 5):
             if q ** (n * n) <= 5**9:
@@ -233,9 +240,11 @@ def test_rank_table_matches_elimination():
 
 
 def test_gl_mask_matches_unrolled_determinant():
-    mask = _rank_table(F4, 3).translate(bytes(r == 3 for r in range(256)))
+    mask = _rank_bytes(F4, 3).translate(bytes(r == 3 for r in range(256)))
     dets = bytes(_det_flat(F4, 3, m.flat) != 0 for m in enumerate_matrices(F4, 3))
     assert mask == dets
+    gl = [m.flat for m in enumerate_matrices(F4, 3) if _det_flat(F4, 3, m.flat)]
+    assert [m.flat for m in enumerate_invertible(F4, 3)] == gl
 
 
 def test_rank_table_build_leaves_no_garbage_cycle():
@@ -243,23 +252,75 @@ def test_rank_table_build_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
     try:
-        _rank_table.__wrapped__(F3, 3)
+        _rank_blocks.__wrapped__(F3, 3)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 
-def test_rank_table_build_peak_stays_near_the_table():
-    # a subspace reached along many row orders is held once, not per path
-    ctx = field_of_order(5)
+def gaussian_binomial(q, n, d):
+    """[n, d]_q, the number of d-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(d):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize(
+    "q, n, distinct", [(2, 3, 15), (3, 3, 27), (4, 3, 43), (5, 3, 63), (64, 2, 66), (2, 4, 66)]
+)
+def test_equal_row_spans_share_one_block(q, n, distinct):
+    # one block object per proper subspace spanned by rows 1..n-1
+    assert sum(gaussian_binomial(q, n, d) for d in range(n)) == distinct
+    blocks = _rank_blocks(field_of_order(q), n)
+    assert len(blocks) == q ** (n * n - n)
+    assert all(len(block) == q**n for block in blocks)
+    assert len({id(block) for block in blocks}) == len(set(blocks)) == distinct
+
+
+def traced_block_build(ctx, n):
+    """An uncached ``_rank_blocks`` build: (blocks, bytes held after, traced peak)."""
     tracemalloc.start()
     try:
-        table = _rank_table.__wrapped__(ctx, 3)
+        blocks = _rank_blocks.__wrapped__(ctx, n)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return blocks, held, peak
+
+
+def test_rank_table_build_peak_stays_near_the_table():
+    # a subspace reached along many row orders is built and held once
+    ctx = field_of_order(5)
+    blocks, held, peak = traced_block_build(ctx, 3)
+    assert peak < matrix_count(ctx, 3)
+    assert held < matrix_count(ctx, 3) // 4
+    assert len(blocks) == 5**6
+
+
+def test_rank_block_build_peak_stays_below_the_flat_table():
+    # no q^(n^2)-byte string is joined; 16 MiB at (64, 2)
+    ctx = field_of_order(64)
+    blocks, _, peak = traced_block_build(ctx, 2)
+    assert peak < matrix_count(ctx, 2) // 8
+    assert len(blocks) == 64**2
+
+
+def test_census_and_pinned_counts_join_no_flat_table():
+    ctx = field_of_order(5)
+    _rank_blocks(ctx, 3)
+    tracemalloc.start()
+    try:
+        census = rank_census(ctx, 3)
+        grid = count_invertible_pinned(ctx)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * len(table)
+    assert census == [rank_count(5, 3, r) for r in range(4)]
+    assert sum(map(sum, grid)) == gl_order(5, 3)
+    assert peak < matrix_count(ctx, 3) // 8
 
 def test_index_file_parsing():
     lines = ["0", "# comment", "", "511"]

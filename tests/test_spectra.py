@@ -39,7 +39,7 @@ from unitgraph import (
 )
 from unitgraph import spectra
 from unitgraph.characters import _exponent_of, _label_terms
-from unitgraph.matrices import _rank_table, matrix_from_index
+from unitgraph.matrices import matrix_count, matrix_from_index
 from unitgraph.spectra import _krawtchouk
 
 F2 = field(2)
@@ -74,6 +74,17 @@ def brute_charsum_prime(p, n, r):
         return sum(counts)
     assert all(c == counts[1] for c in counts[2:]), "sum would not be an integer"
     return counts[0] - counts[1]
+
+
+# GF(4) = F_2[x]/(x^2 + x + 1), an element's index its coefficient bits, constant
+# term lowest: addition is XOR, and x * x = x + 1 is 2 * 2 = 3
+GF4_MUL = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+
+
+def _det_gf4(flat):
+    a, b, c, d, e, f, g, h, i = flat
+    m = GF4_MUL
+    return m[a][m[e][i] ^ m[f][h]] ^ m[b][m[d][i] ^ m[f][g]] ^ m[c][m[d][h] ^ m[e][g]]
 
 
 def brute_pinned_count_prime(p, pins):
@@ -245,7 +256,7 @@ def test_spectrum_identities_sweep():
 
 
 def test_charsum_honours_the_callers_cap(monkeypatch):
-    # the GL pass reads the rank table, which re-checks no cap of its own
+    # the GL pass reads the rank blocks, which re-check no cap of their own
     import unitgraph.matrices as matrices
 
     monkeypatch.setattr(matrices, "DEFAULT_ENUM_CAP", 100)
@@ -343,6 +354,24 @@ def test_diag_pair_counts():
                 counted = grid[a.index][b.index]
                 assert counted == diag_pair_count_closed_form(q, a.is_zero(), b.is_zero())
                 assert counted == brute_pinned_count_prime(q, {0: a.index, 1: b.index})
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_pinned_grid_matches_the_closed_forms(q):
+    # at q = 4 the pinned B[1,1] is an element index of GF(4), not a residue
+    ctx = field_of_order(q)
+    grid = count_invertible_pinned(ctx)
+    for a in ctx.elements():
+        assert sum(grid[a.index]) == corner_count_closed_form(q, a.is_zero()), a
+        for b in ctx.elements():
+            expected = diag_pair_count_closed_form(q, a.is_zero(), b.is_zero())
+            assert grid[a.index][b.index] == expected, (a, b)
+    if q == 4:  # every cell against the primitive GF(4) determinant
+        direct = [[0] * q for _ in range(q)]
+        for flat in itertools.product(range(4), repeat=9):
+            if _det_gf4(flat):
+                direct[flat[0]][flat[4]] += 1
+        assert grid == direct
 
 
 def test_diag_pair_zero_sum_aggregate():
@@ -454,7 +483,6 @@ def test_gathered_blocks_match_plain_histogram(q, n, chunk, monkeypatch):
 def test_charsum_transient_memory_stays_below_half_the_table():
     # the masked exponents are counted one bounded chunk at a time
     ctx = field_of_order(5)
-    table = _rank_table(ctx, 3)
     label = rank_representative(ctx, 3, 2)
     eigenvalue_charsum(label)  # warm the shift tables too
     tracemalloc.start()
@@ -463,4 +491,4 @@ def test_charsum_transient_memory_stays_below_half_the_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < len(table) // 2
+    assert peak < matrix_count(ctx, 3) // 2
