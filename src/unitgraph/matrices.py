@@ -319,11 +319,9 @@ def _rank_blocks(ctx: FieldContext, n: int) -> list[bytes]:
     return list(map(complete, level))
 
 
-def _rank_bytes(ctx: FieldContext, n: int, lo: int = 0, hi: int | None = None) -> bytes:
-    """Byte t - lo is the rank of matrix t, lo <= t < hi (default: all): the covering blocks."""
-    size, blocks = ctx.q**n, _rank_blocks(ctx, n)
-    first, hi = lo // size, len(blocks) * size if hi is None else hi
-    return b"".join(blocks[first : -(-hi // size)])[lo - first * size : hi - first * size]
+def _rank_bytes(ctx: FieldContext, n: int) -> bytes:
+    """Byte t is the rank of matrix t: the rank blocks joined."""
+    return b"".join(_rank_blocks(ctx, n))
 
 
 def gl_order(q: int, n: int) -> int:
@@ -338,13 +336,9 @@ def gl_order(q: int, n: int) -> int:
 
 
 def rank_census(ctx: FieldContext, n: int, cap: int = DEFAULT_ENUM_CAP) -> list[int]:
-    """Exhaustive count of matrices by rank: counts[r] for r = 0..n."""
+    """Exhaustive count of matrices by rank: counts[r] for r = 0..n, each
+    distinct block's histogram times its copies."""
     _require_under_cap(ctx, n, cap)
-    return _rank_census(ctx, n)
-
-
-def _rank_census(ctx: FieldContext, n: int) -> list[int]:
-    """``rank_census`` uncapped: each distinct block's histogram times its copies."""
     blocks = collections.Counter(_rank_blocks(ctx, n))
     return [sum(k * block.count(r) for block, k in blocks.items()) for r in range(n + 1)]
 

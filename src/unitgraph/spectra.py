@@ -9,9 +9,9 @@ deliberately separate so they can cross-check each other:
 * brute force -- for any n small enough to enumerate, the eigenvalue of a
   label is the exact character sum over all invertible matrices, computed
   by histogramming trace exponents and contracting against roots of unity
-  once.  The invertible matrices, and the pinned-entry counts below, are
-  read off the cached rank blocks of ``matrices``; the closed forms never
-  touch them.
+  once.  The histogram, and the pinned-entry counts below, read each
+  distinct cached rank block of ``matrices`` once, weighted by its copies;
+  the closed forms never touch the blocks.
 
 The closed form for label rank r (Kiani and Mollahajiaghaei, "On the
 unitary Cayley graphs of matrix algebras"):
@@ -30,11 +30,11 @@ from __future__ import annotations
 import collections
 import itertools
 
-from .characters import _BYTE_MAX_P, _exponents, _shift_tables
+from .characters import _exponents
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, InexactDivisionError
 from .fields import FieldContext, Frozen
-from .matrices import DEFAULT_ENUM_CAP, Matrix, _rank_blocks, _rank_bytes, _rank_census
+from .matrices import DEFAULT_ENUM_CAP, Matrix, _rank_blocks
 from .matrices import _require_under_cap, gl_order, rank_representative
 
 
@@ -178,59 +178,39 @@ def spectrum_closed_form(q: int, n: int = 3) -> Spectrum:
 # ---------------------------------------------------------------------------
 # brute-force character sums over the invertible matrices
 
-# matrices per chunk of a top-digit block: bounds the transient bytes and
-# integers of one character sum, whatever the block size
-_CHUNK = 1 << 16
-
 
 def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     """Exact character sum of the label over all invertible matrices.
 
     Histogram the trace exponent over GL_n(F_q), contract the histogram
-    against powers of zeta_p once, and collapse to an integer.  The
-    histogram is taken one top-digit block at a time: block d holds the
-    matrices whose most significant entry is d, and their exponents are
-    the low-digit exponent bytes shifted by Tr(a * d).  Blocks are
-    counted in chunks of at most ``_CHUNK`` matrices (a long block is cut,
-    short consecutive blocks are joined): the chunk's rank bytes,
-    translated to 0xff for rank n and 0 otherwise, are ANDed with
-    its exponents as one integer, so every singular matrix
-    reads exponent 0 (exponents up to 250 leave no spare byte value or
-    bit to mark them instead).  Only the nonzero exponents are counted;
-    the rest of the invertible matrices have exponent 0.  Past p = 256 an
-    exponent does not fit a byte, and the matrices are counted one by
-    one.  A ``NotRationalError`` escaping from the collapse indicates a
-    bug, not a property of the input: these sums are Galois-stable.
+    against powers of zeta_p once, and collapse to an integer.  Matrix
+    i q^n + u has row 0 u and rows 1..n-1 the digits of i, and the trace
+    is additive, so its exponent is ``row0[u] + rest[i]`` mod p and its
+    rank is byte u of rank block i.  Each distinct (block, rest[i]) pair
+    is counted once: the block's invertible row-0 exponents are
+    histogrammed once per distinct block, shifted by rest[i] and weighted
+    by the pair's copies.  The exponents are bytes up to p = 256 and lists
+    past it; the pass is the same.  A ``NotRationalError`` escaping from
+    the collapse indicates a bug, not a property of the input: these sums
+    are Galois-stable.
     """
-    ctx, n = label.ctx, label.n
+    ctx, n, p = label.ctx, label.n, label.ctx.p
     _require_under_cap(ctx, n, cap)
-    invertible = _rank_census(ctx, n)[n]
-    if not any(label.flat):
-        return invertible
-    is_gl = bytes(n) + b"\xff" + bytes(255 - n)  # rank n -> all ones, every other rank -> 0
-    counts = [0] * ctx.p
-    if ctx.p > _BYTE_MAX_P:  # exponents wider than a byte: count them one by one
-        gl = _rank_bytes(ctx, n).translate(is_gl)  # n = 1 under the default cap: one block
-        for e in itertools.compress(_exponents(ctx, n, label.flat, n * n), gl):
-            counts[e] += 1
-        return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
-    top = n * n - 1  # b[n-1, n-1], which meets the label entry a[n-1, n-1]
-    low = _exponents(ctx, n, label.flat, top)
-    shift = _shift_tables(ctx.p)
-    a, size = label.flat[top], len(low)
-    per = max(1, _CHUNK // size)  # consecutive blocks gathered into one chunk
-    for d in range(0, ctx.q, per):
-        shifts = [shift[ctx._trace[ctx._mul[a][e]]] for e in range(d, min(d + per, ctx.q))]
-        for start in range(0, size, _CHUNK):
-            exps = b"".join(low[start : start + _CHUNK].translate(s) for s in shifts)
-            lo = d * size + start
-            mask = _rank_bytes(ctx, n, lo, lo + len(exps)).translate(is_gl)
-            kept = int.from_bytes(exps, "little") & int.from_bytes(mask, "little")
-            kept = kept.to_bytes(len(exps), "little")  # a singular matrix reads exponent 0
-            for e in range(1, ctx.p):
-                counts[e] += kept.count(e)
-    counts[0] = invertible - sum(counts)
-    return Cyclotomic.from_exponent_counts(ctx.p, counts).to_int()
+    row0 = _exponents(ctx, n, label.flat, n)  # row 0 of B meets column 0 of the label
+    # entry (i, j) becomes a[i, j + 1]; the last column lies past the n^2 - n digits read
+    rest = _exponents(ctx, n, label.flat[1:] + (0,), n * n - n)
+    is_gl = bytes(r == n for r in range(256))
+    blocks = _rank_blocks(ctx, n)
+    copies = collections.Counter(zip(blocks, rest))
+    hists = {
+        block: collections.Counter(itertools.compress(row0, block.translate(is_gl)))
+        for block in set(blocks)
+    }
+    counts = [0] * p
+    for (block, s), k in copies.items():
+        for e, c in hists[block].items():
+            counts[(e + s) % p] += k * c
+    return Cyclotomic.from_exponent_counts(p, counts).to_int()
 
 
 def eigenvalue_charsum_rank(ctx: FieldContext, n: int, r: int, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -37,7 +37,6 @@ from unitgraph import (
     spectrum_closed_form,
     trace_identity_holds,
 )
-from unitgraph import spectra
 from unitgraph.characters import _exponent_of, _label_terms
 from unitgraph.matrices import matrix_count, matrix_from_index
 from unitgraph.spectra import _krawtchouk
@@ -454,34 +453,19 @@ def assert_blocked_charsum_matches_plain_histogram(q, n, sample):
 @pytest.mark.parametrize(
     "q, n, sample",
     [
-        (2, 2, None), (3, 2, None), (2, 3, None), (4, 2, None),
-        (131, 1, None), (251, 1, 40), (257, 1, None), (3, 3, 40), (4, 3, 40),
+        (2, 2, None), (3, 2, None), (2, 3, None), (4, 2, None), (5, 2, None),
+        (131, 1, None), (251, 1, 40), (251, 1, None), (257, 1, None), (3, 3, 40), (4, 3, 40),
+        (9, 2, 60), (2, 4, 20),
     ],
 )
 def test_blocked_charsum_matches_plain_histogram(q, n, sample):
-    # 131 and 251: exponents of 128 and more still fit a byte and must not
-    # be read as singular
+    # 131 and 251: exponents of 128 and more still fit a byte; 257: list
+    # exponents; 9: odd p with k = 2; n = 4: three rows past row 0 per block
     assert_blocked_charsum_matches_plain_histogram(q, n, sample)
-
-
-@pytest.mark.parametrize("q, n, sample", [(3, 3, 40), (4, 3, 10)])
-def test_partial_chunks_match_plain_histogram(q, n, sample, monkeypatch):
-    # 1000 divides no block (3^8 and 4^8 matrices), so every block ends in
-    # a partial chunk, after 6 resp. 65 full ones
-    monkeypatch.setattr(spectra, "_CHUNK", 1000)
-    assert_blocked_charsum_matches_plain_histogram(q, n, sample)
-
-
-@pytest.mark.parametrize("q, n, chunk", [(5, 2, 300), (251, 1, 100)])
-def test_gathered_blocks_match_plain_histogram(q, n, chunk, monkeypatch):
-    # blocks shorter than a chunk are joined, 2 of 125 resp. 100 of 1 per
-    # chunk, and the last chunk takes the blocks left over
-    monkeypatch.setattr(spectra, "_CHUNK", chunk)
-    assert_blocked_charsum_matches_plain_histogram(q, n, None)
 
 
 def test_charsum_transient_memory_stays_below_half_the_table():
-    # the masked exponents are counted one bounded chunk at a time
+    # only the distinct (block, exponent) pairs and one histogram per block are held
     ctx = field_of_order(5)
     label = rank_representative(ctx, 3, 2)
     eigenvalue_charsum(label)  # warm the shift tables too
@@ -492,3 +476,19 @@ def test_charsum_transient_memory_stays_below_half_the_table():
     finally:
         tracemalloc.stop()
     assert peak < matrix_count(ctx, 3) // 2
+
+
+@pytest.mark.parametrize("q, n", [(5, 3), (64, 2)])
+def test_charsum_transient_memory_is_a_few_blocks(q, n):
+    # each distinct rank block is read once, so no transient scales with
+    # the q^(n^2) matrices: 128 KiB is under 7% of the table at (5, 3)
+    ctx = field_of_order(q)
+    for label in (rank_representative(ctx, n, 1), matrix_from_index(ctx, n, q ** (n * n) - 2)):
+        eigenvalue_charsum(label)  # warm the field tables and rank blocks
+        tracemalloc.start()
+        try:
+            eigenvalue_charsum(label)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024, (q, n, label.flat, peak)
