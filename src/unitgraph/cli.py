@@ -63,7 +63,12 @@ def _resolve_field(args, cap: int | None = None) -> tuple[int, int, tuple[int, .
         q = _power(p, k)  # bracketed where Python cannot print it: (2^20000)^4
         q = q if q.isdigit() else f"({q})"
         raise SizeTooLargeError(f"{q}^{args.n**2} matrices exceed the cap {cap}")
-    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    try:
+        modulus = None if args.modulus is None else [int(c) for c in args.modulus.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"--modulus {args.modulus!r} is not a comma-separated list of integers"
+        ) from None
     return p, k, field_modulus(p, k, modulus=modulus)
 
 
@@ -96,7 +101,7 @@ def _closed_spectrum(p: int, k: int, n: int) -> spectra.Spectrum:
 
 def _cmd_spectrum(args):
     # closed forms need no field, but a given modulus must be valid
-    p, k = _resolve_field(args)[:2] if args.modulus else _resolve_pk(args)
+    p, k = _resolve_field(args)[:2] if args.modulus is not None else _resolve_pk(args)
     spectrum = _closed_spectrum(p, k, args.n)
     if args.format == "csv":
         lines = spectrum.to_csv().splitlines()

@@ -24,23 +24,21 @@ character exponent once per label, then count neighbors per bucket with
 bitwise AND.  The counts are compared with the eigenvalue as integers,
 which is exact: sum_e counts[e] zeta_p^e determines counts up to adding a
 constant to every entry.  On a regular graph that makes every bucket but
-one largest a single column comparison over all vertices, and labels
-whose buckets and eigenvalue match an earlier passed check (the
-F_p-multiples of a label) reuse it.  When every such bucket fits a byte
-(N / p < 256) the graph also keeps its adjacency columns packed one byte
-per vertex, N^2 bytes, and a bucket's whole column of counts is one sum
-of big integers, compared with its expected column as one integer; the
-popcounts then run only for a check that misses, and for larger buckets.
+one largest a single column comparison over all vertices.  When every
+such bucket fits a byte (N / p < 256) the graph also keeps its adjacency
+columns packed one byte per vertex, N^2 bytes, and a bucket's whole
+column of counts is one sum of big integers, compared with its expected
+column as one integer; the popcounts then run only for a check that
+misses, and for larger buckets.
 
-At p = 2 a vertex index is an F_2-vector, matrix addition is XOR and
-every character is a Walsh function (-1)^(u . v), so coordinate v of
-A chi_u = mu_u chi_u, for every u at once, is the Walsh-Hadamard
-transform of row v.  One packed transform per row checks all N
-eigen-equations.  A label's character is the Walsh function of its dual
-index u, which the graph checks once on the basis labels, so a label
-whose eigenvalue equals its checked mu_u passes without its exponents or
-popcounts; any other label, and every label of a graph with a row that
-misses, takes the popcount route above.
+Once the basis labels show that a label's exponent at vertex v is <u, v>
+for its dual index u (``CayleyGraph._duals_hold``), the labels whose dual
+index lies on u's F_p-line bucket the vertices alike, and a passed check
+covers each of them with an equal eigenvalue.  At p = 2 a vertex index is
+an F_2-vector, matrix addition is XOR and every character is a Walsh
+function (-1)^(u . v), so coordinate v of A chi_u = mu_u chi_u, for every
+u at once, is the Walsh-Hadamard transform of row v: one packed transform
+per row checks all N eigen-equations, and each mu_u counts as passed.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ from io import TextIOBase
 
 from .cyclotomic import Cyclotomic
 from .errors import CheckFailedError, EigenvectorMismatchError, SizeTooLargeError
-from .fields import FieldContext, Frozen, _all_digits, _over_cap, _power
+from .fields import FieldContext, Frozen, _all_digits, _digits, _number, _over_cap, _power
 from .matrices import DEFAULT_MAX_ORDER, Matrix, _det_flat, _rank_bytes, gl_order, matrix_count
 from .matrices import matrix_from_index, matrix_to_index
 from .characters import _BYTE_MAX_P, _character_sums, _dual_index, _exponents, _index_character
@@ -81,11 +79,11 @@ class CayleyGraph(Frozen):
         return all(row.bit_count() == self.degree for row in self.rows)
 
     @functools.cached_property
-    def _passed(self) -> set[tuple[bytes, int]]:
-        """(partition into exponent buckets, lambda) pairs that passed
-        ``verify_eigenvector`` on this graph at odd p, each partition as
-        ``_partition_key`` spells it."""
-        return set()
+    def _passed(self) -> dict[int, int]:
+        """Dual index u to the lambda that passed ``verify_eigenvector`` for
+        u's F_p-line; at p = 2 it starts as the row-checked ``_walsh``."""
+        walsh = self._walsh if self.ctx.p == 2 else None
+        return {} if walsh is None else dict(enumerate(walsh))
 
     @functools.cached_property
     def _columns(self) -> tuple[int, ...] | None:
@@ -318,16 +316,14 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
     byte-packed adjacency columns where a bucket fits a byte, else
     popcounts of the rows.  A column that misses sends the label to the
     popcounts of all p buckets and the coordinate loop, which decides and
-    names the first failing vertex.  A passed check depends only on
-    lambda and the partition into buckets, which the F_p-multiples of a
-    label share, so at odd p the graph keeps the passed pairs and a label
-    with an equal pair skips the columns.
+    names the first failing vertex.
 
-    At p = 2, once the basis labels hold (``_duals_hold``), the label's
-    exponent at vertex v is <u, v> for its dual index u, and a lambda
-    equal to the graph's row-checked mu_u passes without the exponents; a
-    graph with a row that misses, or a lambda that differs, takes the
-    columns.  Returns lambda on success.
+    Once the basis labels hold (``_duals_hold``), the label's exponent at
+    vertex v is <u, v> for its dual index u, so the labels with dual index
+    s u (each base-p digit times s, s = 1..p-1) have its buckets, and a
+    passed check covers each of them whose own lambda is equal
+    (``CayleyGraph._passed``, which at p = 2 starts as the row-checked
+    mu_u).  Any other label takes the columns.  Returns lambda on success.
 
     Raises ``SizeTooLargeError`` past p = 256, where the exponents do not
     fit a byte.
@@ -342,13 +338,9 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
         )
     u = _dual_index(ctx, n, label.flat)
     lam = graph._eigenvalues[u]
-    if p == 2 and graph._walsh is not None and graph._walsh[u] == lam and graph._duals_hold:
-        return lam  # the label's exponents are <u, v>, checked by the rows
+    if graph._passed.get(u) == lam and graph._duals_hold:
+        return lam  # u's line passed with this lambda, and its exponents are <u, v>
     exps = _exponents(ctx, n, label.flat, n * n)
-    if p > 2:  # at p = 2 no other label has this partition
-        key = (_partition_key(exps, p), lam)
-        if key in graph._passed:
-            return lam
 
     c, r = divmod(graph.degree - lam, p)
     if not (r == 0 and graph._regular and _columns_hold(graph, exps, c, lam)):
@@ -364,8 +356,10 @@ def verify_eigenvector(graph: CayleyGraph, label: Matrix) -> int:
                     f"{matrix_to_index(label)}: {lhs!r} vs {rhs!r}",
                     coordinate=v,
                 )
-    if p > 2:
-        graph._passed.add(key)
+    if graph._duals_hold:
+        digits = _digits(u, p, ctx.k * n * n)
+        for s in range(1, p):
+            graph._passed[_number([s * d % p for d in digits], p)] = lam
     return lam
 
 
@@ -374,14 +368,6 @@ def _marks(p: int) -> tuple[bytes, ...]:
     """Per exponent e, the translation of exponent bytes to 1 at e, else 0."""
     digits = bytes(range(p))
     return tuple(bytes.maketrans(digits, bytes(e) + b"\1" + bytes(p - 1 - e)) for e in range(p))
-
-
-def _partition_key(exps: bytes, p: int) -> bytes:
-    """The exponents relabelled 0, 1, ... in order of first appearance:
-    two labels get the same key exactly when they bucket the vertices the
-    same way."""
-    order = bytes(sorted((e for e in range(p) if e in exps), key=exps.find))
-    return exps.translate(bytes.maketrans(order, bytes(range(len(order)))))
 
 
 def _columns_hold(graph: CayleyGraph, exps: bytes, c: int, lam: int) -> bool:

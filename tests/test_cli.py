@@ -477,6 +477,15 @@ def test_modulus_of_any_degree_under_the_table_limit(capsys):
     assert err == "error: modulus [1, 1, 0, 0, 0, 1] is divisible by [1, 1, 1] over F_2\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("value", ["", "1,,1", "1,a", "1,0,1,"])
+def test_malformed_modulus_is_a_usage_error_naming_the_flag(capsys, command, value):
+    # an empty value is not "no modulus": it must not fall back to the default
+    code, out, err = run(capsys, command, "--q", "9", "--n", "1", "--modulus", value)
+    assert code == 2 and out == ""
+    assert err == f"error: --modulus {value!r} is not a comma-separated list of integers\n"
+
+
 def test_modulus_past_the_table_limit_hits_a_cap(capsys):
     start = time.perf_counter()
     code, out, err = run(capsys, "spectrum", "--p", "2", "--k", "40",

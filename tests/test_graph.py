@@ -3,6 +3,7 @@
 import io
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -423,7 +424,7 @@ def test_spectrum_from_graph_p2_matches_brute_force():
     ctx = field_of_order(8)
     graph = build_graph(ctx, 2)
     assert spectrum_from_graph(graph) == spectrum_brute_force(ctx, 2)
-    assert graph._walsh is not None and not graph._passed
+    assert graph._walsh is not None and graph._passed == dict(enumerate(graph._walsh))
 
 
 def sample_labels(ctx, n, count):
@@ -467,13 +468,13 @@ def test_walsh_mu_does_not_hide_a_wrong_eigenvalue(monkeypatch):
     assert verified(g, label) == expected
     monkeypatch.undo()
     assert verify_eigenvector(g, label) == lam
-    assert not g._passed
+    assert g._passed == dict(enumerate(g._walsh))  # no label passed through the columns
 
 
 def test_p2_graphs_keep_no_passed_partitions():
     g = build_graph(field_of_order(4), 2)
     spectrum_from_graph(g)
-    assert not g._passed
+    assert g._passed == dict(enumerate(g._walsh))  # no label passed through the columns
     assert g._duals_hold and all(  # every label was passed by the transform, not by the columns
         g._walsh[_dual_index(g.ctx, 2, label.flat)] == eigenvalue_charsum(label)
         for label in enumerate_matrices(g.ctx, 2)
@@ -481,7 +482,9 @@ def test_p2_graphs_keep_no_passed_partitions():
     tampered = swapped_graph(g, 3, 17)
     with pytest.raises(EigenvectorMismatchError):
         spectrum_from_graph(tampered)
-    assert tampered._walsh is None and not tampered._passed
+    # the transform passed nothing; only the zero label, which every regular
+    # graph passes, went through the columns before the first miss
+    assert tampered._walsh is None and tampered._passed == {0: g.degree}
 
 
 @pytest.mark.parametrize("q, n", [(2, 3), (4, 2), (5, 2)])
@@ -517,10 +520,22 @@ def test_basis_check_refuses_a_map_without_the_trace_dual(monkeypatch):
         verify_eigenvector(g8, misread)
 
 
-@pytest.mark.parametrize("q, n", [(2, 3), (4, 2), (5, 2)])
-def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
-    # at p = 2 only the k n^2 basis labels of ``_duals_hold`` build theirs,
-    # every label then passing on the transform; at odd p every label does
+def test_odd_p_reuse_needs_the_basis_check(monkeypatch):
+    # at q = 25 (k = 2) the plain element index reads every eigenvalue right
+    # but is not the trace dual: no passed lambda may then cover another label
+    from unitgraph import graph as graph_mod
+
+    labels = spied_exponents(monkeypatch)
+    plain_index = lambda ctx, n, flat: matrix_to_index(Matrix(ctx, n, tuple(flat)))
+    monkeypatch.setattr(graph_mod, "_dual_index", plain_index)
+    g = build_graph(field_of_order(25), 1)
+    assert spectrum_from_graph(g).lines == spectrum_closed_form(25, 1).lines
+    assert not g._duals_hold and not g._passed
+    assert len(labels) == 25 + 1  # every label, and the one basis label that fails
+
+
+def spied_exponents(monkeypatch):
+    """The labels whose exponents get built from here on, in order."""
     from unitgraph import graph as graph_mod
     from unitgraph import spectra as spectra_mod
 
@@ -532,11 +547,26 @@ def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
 
     monkeypatch.setattr(graph_mod, "_exponents", spy)
     monkeypatch.setattr(spectra_mod, "_exponents", spy)
+    return labels
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (4, 2), (5, 2)])
+def test_each_label_computes_its_exponents_once(q, n, monkeypatch):
+    # the k n^2 basis labels of ``_duals_hold`` build theirs; then at p = 2
+    # every label passes on the transform, and at odd p one label per
+    # F_p-line of dual indices builds its exponents and passes the line
+    labels = spied_exponents(monkeypatch)
     graph = build_graph(field_of_order(q), n)
     s = spectrum_from_graph(graph)
     assert s.lines == spectrum_closed_form(q, n).lines
-    expected = graph.ctx.k * n * n if graph.ctx.p == 2 else q ** (n * n)
-    assert len(labels) == len(set(labels)) == expected
+    k, p = graph.ctx.k, graph.ctx.p
+    lines = 0 if p == 2 else 1 + (graph.order - 1) // (p - 1)
+    assert len(labels) == k * n * n + lines  # 161 at (5, 2)
+    basis = Counter(
+        tuple(p**t * (i == pos) for i in range(n * n)) for pos in range(n * n) for t in range(k)
+    )
+    built = Counter(labels) - basis  # the builds of verify_eigenvector
+    assert sum(built.values()) == len(built) == lines  # no label twice
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +686,4 @@ def test_spectrum_from_graph_with_and_without_packed_columns(q, n, packed, graph
     graph = graph_q7 if q == 7 else build_graph(field_of_order(q), n)
     assert spectrum_from_graph(graph).lines == spectrum_closed_form(q, n).lines
     assert (graph.__dict__["_columns"] is not None) == packed
-    p = graph.ctx.p
-    assert len(graph._passed) == 1 + (graph.order - 1) // (p - 1)  # one per F_p^* orbit
-    assert all(type(key) is bytes and len(key) == graph.order for key, _ in graph._passed)
+    assert graph._passed == dict(enumerate(graph._eigenvalues))  # one int key per label
