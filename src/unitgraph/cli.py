@@ -33,7 +33,7 @@ EXIT_CODES = (
 
 
 def _resolve_pk(args) -> tuple[int, int]:
-    """(p, k) of the field options, once they and ``--n`` are checked."""
+    """(p, k) of the field options, once they, ``--n`` and the caps are checked."""
     if args.q is not None and (args.p is not None or args.k is not None):
         raise ValueError("give either --q or --p/--k, not both")
     if args.q is not None:
@@ -51,6 +51,10 @@ def _resolve_pk(args) -> tuple[int, int]:
         raise ValueError("a field is required: pass --q or --p (with optional --k)")
     if getattr(args, "n", 1) < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
+    for flag in ("--max-enum", "--max-graph"):
+        cap = getattr(args, flag[2:].replace("-", "_"), 0)
+        if cap < 0:
+            raise ValueError(f"{flag} must be >= 0, got {cap}")
     return pk
 
 

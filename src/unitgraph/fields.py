@@ -192,8 +192,8 @@ def _check_irreducible(modulus: Sequence[int], p: int) -> None:
 class Frozen:
     """Base of the immutable value types: the fields are the parameters of
     ``__init__``, which stores them once (hot types use ``_setattr``, which
-    keeps CPython's inline attribute values, and define ``__eq__`` and
-    ``__hash__`` on the field tuple).  Then read-only; equal, hashed and shown by the fields."""
+    keeps CPython's inline attribute values).  Then read-only; equal, hashed
+    and shown by the fields."""
 
     def __init_subclass__(cls):
         code = cls.__init__.__code__
@@ -248,14 +248,6 @@ class FieldContext(Frozen):
         _setattr(self, "modulus", _checked_modulus(p, k, modulus))
         _setattr(self, "q", p**k)
         self._build_tables()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-
-    def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self):
         if self.k == 1:
@@ -373,14 +365,6 @@ class FieldElement(Frozen):
     def __init__(self, ctx: FieldContext, index: int):
         _setattr(self, "ctx", ctx)
         _setattr(self, "index", index)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.index) == (other.ctx, other.index)
-
-    def __hash__(self):
-        return hash((self.ctx, self.index))
 
     @property
     def coeffs(self) -> tuple[int, ...]:

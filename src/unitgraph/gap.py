@@ -3,13 +3,10 @@
 The graph is regular with one dominant eigenvalue, so two subsets whose
 geometric mean size clears a threshold must span at least one edge, i.e.
 must contain matrices whose difference is invertible.  The exact
-threshold is the rational
-
-    n_* = q^9 / (q^3 - 1),
-
-and the integer bound actually used for the subset test is q^6 + q^3 + 2,
-which strictly exceeds n_* for every q >= 2 (checked here by integer
-cross-multiplication, never by floating point).
+threshold is the rational lambda N / d, read from the closed forms: the
+largest nontrivial eigenvalue magnitude lambda, N = q^9 vertices and the
+degree d = |GL_3(F_q)|.  It is q^9 / (q^3 - 1), and the integer bound the
+subset test uses is the least integer above it, q^6 + q^3 + 2.
 
 ``check_spectral_gap`` combines the threshold, the size test, and an
 exhaustive witness scan.  If the size test fires and the scan finds no
@@ -58,10 +55,10 @@ import sys
 from collections.abc import Callable, Sequence
 from fractions import Fraction
 
-from .errors import CheckFailedError, ContextMismatchError, SizeTooLargeError, TheoremViolationError
+from .errors import ContextMismatchError, SizeTooLargeError, TheoremViolationError
 from .fields import FieldContext, Frozen, _all_digits, _digits, _over_cap, _power
 from .matrices import Matrix, _det_flat
-from .matrices import matrix_count, matrix_from_index, matrix_to_index
+from .matrices import gl_order, matrix_count, matrix_from_index, matrix_to_index
 from .spectra import eigenvalue_closed_form
 
 
@@ -71,18 +68,14 @@ class GapThreshold(Frozen):
 
 
 def spectral_threshold(q: int) -> GapThreshold:
-    """The exact rational threshold and its integer bound, with the strict
-    inequality n_* < bound re-proved in integers for this q."""
+    """The exact rational threshold n_* = lambda N / d, read from the closed
+    forms (lambda the largest nontrivial eigenvalue magnitude, N = q^9
+    vertices, degree d = |GL_3(F_q)|), and the least integer above it."""
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    n_star = Fraction(q**9, q**3 - 1)
-    bound = q**6 + q**3 + 2
-    # n_star < bound  <=>  q^9 < (q^3 - 1) * bound, all in exact integers
-    if not q**9 < (q**3 - 1) * bound:
-        raise CheckFailedError(
-            f"threshold inequality failed at q={q}: {n_star} >= {bound}"
-        )
-    return GapThreshold(q, n_star, bound)
+    n = 3  # the paper's Mat_3(F_q), as in ``max_nontrivial_eigenvalue``
+    n_star = Fraction(max_nontrivial_eigenvalue(q) * q ** (n * n), gl_order(q, n))
+    return GapThreshold(q, n_star, math.floor(n_star) + 1)
 
 
 def max_nontrivial_eigenvalue(q: int) -> int:

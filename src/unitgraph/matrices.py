@@ -57,14 +57,6 @@ class Matrix(Frozen):
         _setattr(self, "n", n)
         _setattr(self, "flat", flat)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ctx, self.n, self.flat) == (other.ctx, other.n, other.flat)
-
-    def __hash__(self):
-        return hash((self.ctx, self.n, self.flat))
-
     # -- construction ----------------------------------------------------------
 
     @classmethod

@@ -444,6 +444,21 @@ def test_every_declared_cap_can_stop_its_subcommand(capsys, command, flag):
     }[flag]
 
 
+@pytest.mark.parametrize("command, flag", DECLARED_CAPS)
+def test_a_negative_cap_is_a_usage_error_before_field_tables(capsys, monkeypatch, command, flag):
+    from unitgraph import fields
+
+    def no_tables(self):
+        raise AssertionError("field tables built for a usage error")
+
+    monkeypatch.setattr(fields, "_cached_context", fields.FieldContext)
+    monkeypatch.setattr(fields.FieldContext, "_build_tables", no_tables)
+    code, out, err = run(capsys, command, "--q", "2", "--n", "2", flag, "-1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0, got -1\n"
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [

@@ -51,10 +51,11 @@ def test_threshold_values():
 
 def test_threshold_denominator_and_inequality_sweep():
     for q in range(2, 98):
-        t = spectral_threshold(q)  # re-proves n_* < bound by cross-multiplication
+        t = spectral_threshold(q)  # lambda N / d from the closed forms; the paper's values pin it
         assert t.n_star.denominator == q**3 - 1
         assert t.n_star.numerator == q**9
         assert t.n_star < t.integer_bound
+        assert t.integer_bound == q**6 + q**3 + 2
 
 
 def test_max_nontrivial_eigenvalue():

@@ -10,6 +10,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitgraph import (
     CheckFailedError,
@@ -38,7 +40,7 @@ from unitgraph import (
     trace_identity_holds,
 )
 from unitgraph.characters import _exponent_of, _label_terms
-from unitgraph.matrices import matrix_count, matrix_from_index
+from unitgraph.matrices import _rank_bytes, matrix_count, matrix_from_index
 from unitgraph.spectra import _krawtchouk
 
 F2 = field(2)
@@ -492,3 +494,31 @@ def test_charsum_transient_memory_is_a_few_blocks(q, n):
         finally:
             tracemalloc.stop()
         assert peak < 128 * 1024, (q, n, label.flat, peak)
+
+
+# every (p, k, n) with q <= 16, q^(n^2 - n) <= 2^12 and q^(n^2) <= 2^18: 24 sizes from
+# (2, 1, 1) to (13, 1, 2), among them q = 16 at n = 2 and q = 4 at n = 3
+DRAWN_SIZES = sorted(
+    (*prime_power(q), n)
+    for q in range(2, 17)
+    for n in range(1, 5)
+    if prime_power(q) and q ** (n * n - n) <= 2**12 and q ** (n * n) <= 2**18
+)
+
+
+@st.composite
+def drawn_labels(draw):
+    """(field, n, t) for a drawn size and a drawn matrix index t."""
+    p, k, n = draw(st.sampled_from(DRAWN_SIZES))
+    ctx = field(p, k)
+    return ctx, n, draw(st.integers(0, matrix_count(ctx, n) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_labels())
+def test_drawn_label_charsum_and_rank_byte_match_its_eliminated_rank(drawn):
+    ctx, n, t = drawn
+    label = matrix_from_index(ctx, n, t)
+    rank = label.rank()  # by elimination: reads no rank block
+    assert _rank_bytes(ctx, n)[t] == rank
+    assert eigenvalue_charsum(label) == eigenvalue_closed_form(ctx.q, rank, n)

@@ -100,8 +100,16 @@ def test_graphs_compare_by_identity_and_number_their_vertices():
         lambda: spectrum_closed_form(2, 2),
         lambda: spectral_threshold(3),
         lambda: _report(witness=(matrix_from_index(F2, 3, 0), matrix_from_index(F2, 3, 5))),
+        # each call builds its own field: the two values are equal by their fields alone
+        lambda: FieldContext(2, 2, (1, 1, 1)),
+        lambda: FieldContext(2, 2, (3, 5, 1)).element(3),
+        lambda: Matrix.from_rows(FieldContext(2, 2, (1, 1, 1)), [[0, 1], [2, 3]]),
+        lambda: Cyclotomic(3, [5, 6, 5]),
     ],
-    ids=["SpectrumLine", "Spectrum", "GapThreshold", "GapReport"],
+    ids=[
+        "SpectrumLine", "Spectrum", "GapThreshold", "GapReport",
+        "FieldContext", "FieldElement", "Matrix", "Cyclotomic",
+    ],
 )
 def test_equal_fields_compare_and_hash_equal(make):
     a, b = make(), make()
