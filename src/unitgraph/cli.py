@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from collections.abc import Sequence
+from json.encoder import encode_basestring_ascii as _encode_str
 
 # the package registers these modules lazily: each one loads on first use
 from . import gap as gap_mod, graph as graph_mod, matrices, spectra
@@ -436,12 +437,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2)``, written in one pass.  Given an
+    indent, ``json.dumps`` leaves its C encoder for one that nests a
+    generator per container, and each token of a deep report passes up
+    through all of them.  Ints, strs and nonempty dicts (of str keys),
+    lists and tuples are written here; any other value by ``json.dumps``."""
+    parts: list[str] = []
+    breaks, commas = ["\n"], [",\n"]  # per depth: a newline and its indent, and after a comma
+
+    def write(value, depth: int) -> None:
+        kind = type(value)
+        if kind is int:
+            parts.append(repr(value))
+        elif kind is str:
+            parts.append(_encode_str(value))
+        elif not value or kind not in (dict, list, tuple):
+            parts.append(json.dumps(value))
+        else:
+            inner = depth + 1
+            if inner == len(breaks):
+                breaks.append(breaks[depth] + "  ")
+                commas.append("," + breaks[inner])
+            sep = breaks[inner]
+            if kind is dict:
+                parts.append("{")
+                for key, item in value.items():
+                    parts.extend((sep, _encode_str(key), ": "))
+                    write(item, inner)
+                    sep = commas[inner]
+                parts.extend((breaks[depth], "}"))
+            else:
+                parts.append("[")
+                for item in value:
+                    parts.append(sep)
+                    write(item, inner)
+                    sep = commas[inner]
+                parts.extend((breaks[depth], "]"))
+
+    write(payload, 0)
+    return "".join(parts)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines, verdict = args.func(args)
         if getattr(args, "format", "text") == "json":
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
         else:
             for line in lines:
                 print(line)

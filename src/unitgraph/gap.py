@@ -23,8 +23,9 @@ equal ``rng.sample(range(q^(n^2)), size)`` and leave ``rng`` where
 ``rng.sample`` leaves it; ``_LazySample`` reads the 32-bit words of a
 plain ``random.Random`` in bulk to get them, only as far as they are
 read.  ``random_subset`` reads its draw in full.  A random CLI query draws
-X that way and Y lazily from the words after X's, so the scan draws of Y
-only what it reads: 8 matrices when the witness lies in Y's head block.
+X and Y that way, each only as far as the scan reads it: X's words are
+taken and its distinct values counted, not ordered, before Y's first
+draw, so a witness among the first 8 matrices of each orders 8 of each.
 A plain sequence of matrices is numbered once, on entry, into a view that
 keeps its objects; from a drawn or read view a ``Matrix`` is built only
 for the two matrices of a witness.
@@ -48,11 +49,12 @@ from __future__ import annotations
 
 import array
 import functools
+import itertools
 import math
 import operator
 import random
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import ContextMismatchError, SizeTooLargeError, TheoremViolationError
@@ -323,21 +325,37 @@ def random_subset(ctx: FieldContext, n: int, size: int, rng: random.Random) -> I
     caller's seeded ``random.Random``: the indices equal
     ``rng.sample(range(q^(n^2)), size)``, and ``rng`` is left where
     ``rng.sample`` leaves it."""
-    if n < 1:
-        raise ValueError(f"matrix dimension must be >= 1, got {n}")
-    _require_sample(size, ctx.p, ctx.k, n)
-    return _drawn_view(ctx, n, _sample(rng, matrix_count(ctx, n), size))
+    return _drawn_view(ctx, n, _sample(rng, _sample_total(ctx, n, size), size))
 
 
 def _random_pair(
     ctx: FieldContext, n: int, size: int, rng: random.Random
 ) -> tuple[IndexSubset, IndexSubset]:
-    """X = ``random_subset(ctx, n, size, rng)`` and Y the next ``size``
-    draws of ``rng.sample``, as ``random_subset`` would draw them, but
-    drawn only as far as Y is read.  ``rng`` is then left part-way through
-    Y, so it must not be used again."""
-    xs = random_subset(ctx, n, size, rng)
-    return xs, _drawn_view(ctx, n, _lazy_sample(rng, matrix_count(ctx, n), size))
+    """X and Y as two ``random_subset`` calls would draw them, each drawn
+    only as far as the scan reads it, and X's unread tail counted before
+    Y's first draw (``_lazy_pair``).  ``rng`` is then left part-way
+    through Y, so it must not be used again."""
+    xs, ys = _lazy_pair(rng, _sample_total(ctx, n, size), size)
+    return _drawn_view(ctx, n, xs), _drawn_view(ctx, n, ys)
+
+
+def _lazy_pair(rng: random.Random, total: int, k: int) -> tuple[Sequence[int], Sequence[int]]:
+    """Two successive ``rng.sample(range(total), k)`` draws, each drawn as
+    far as it is read.  X's unread tail is counted before Y's first draw:
+    its words are taken from ``rng`` and kept, not ordered, so Y starts
+    where ``sample`` starts it."""
+    xs = _lazy_sample(rng, total, k)
+    if isinstance(xs, _LazySample):
+        xs._count()
+    return xs, _lazy_sample(rng, total, k)
+
+
+def _sample_total(ctx: FieldContext, n: int, size: int) -> int:
+    """q^(n^2), once ``size`` distinct n x n matrices can be drawn from it."""
+    if n < 1:
+        raise ValueError(f"matrix dimension must be >= 1, got {n}")
+    _require_sample(size, ctx.p, ctx.k, n)
+    return matrix_count(ctx, n)
 
 
 def _drawn_view(ctx: FieldContext, n: int, indices: Sequence[int]) -> IndexSubset:
@@ -380,6 +398,12 @@ class _LazySample(Sequence[int]):
     the word where ``sample`` takes pick j: every prefix read equals that
     prefix of ``sample``'s list, and a read to the end leaves ``rng``
     where ``sample`` leaves it.  Iterating reads ahead in doubling blocks.
+
+    ``_count`` takes the rest of the draw from ``rng`` at once, leaving it
+    where ``sample`` leaves it: its rounds only count the distinct values
+    and keep the accepted ones in word order.  Reads then run the same
+    rounds over the kept values, ordering them only as far as they read,
+    and never touch ``rng`` again.
     """
 
     def __init__(self, rng: random.Random, total: int, k: int):
@@ -387,20 +411,36 @@ class _LazySample(Sequence[int]):
         self._shift = 32 - total.bit_length()
         self._limit = total << self._shift  # word < limit  <=>  word >> shift < total
         self._picks: list[int] = []
-        self._seen: set[int] = set()
+        self._seen: set[int] = set()  # the picks
+        self._tail: Iterator[int] | None = None  # the counted values not yet ordered
 
     def __len__(self) -> int:
         return self._k
 
+    def _values(self, m: int) -> list[int]:
+        """The accepted values of the next m words, duplicates included."""
+        words = array.array("I", self._rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return [w >> self._shift for w in words if w < self._limit]
+
+    def _count(self) -> None:
+        """Take the rest of the draw from ``rng`` and keep its accepted
+        values, duplicates included, for ``_draw`` to order."""
+        distinct, kept = set(self._seen), []
+        while len(distinct) < self._k:
+            values = self._values(self._k - len(distinct))
+            distinct.update(values)
+            kept += values
+        self._tail = iter(kept)
+
     def _draw(self, stop: int) -> None:
         """Run rounds until ``stop`` <= k picks are held."""
-        picks, seen = self._picks, self._seen
+        picks, seen, tail = self._picks, self._seen, self._tail
         while len(picks) < stop:
             m = stop - len(picks)
-            words = array.array("I", self._rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
-            if sys.byteorder == "big":
-                words.byteswap()
-            new = dict.fromkeys([w >> self._shift for w in words if w < self._limit])
+            # after ``_count``, the values its words gave: they hold all k picks
+            new = dict.fromkeys(self._values(m) if tail is None else itertools.islice(tail, m))
             for v in new.keys() & seen:
                 del new[v]
             seen.update(new)

@@ -30,8 +30,7 @@ from __future__ import annotations
 import collections
 import itertools
 
-from .characters import _exponents
-from .cyclotomic import Cyclotomic
+from . import characters, cyclotomic  # run on first use: a gap start needs neither
 from .errors import CheckFailedError, InexactDivisionError
 from .fields import FieldContext, Frozen
 from .matrices import DEFAULT_ENUM_CAP, Matrix, _rank_blocks
@@ -196,9 +195,9 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     """
     ctx, n, p = label.ctx, label.n, label.ctx.p
     _require_under_cap(ctx, n, cap)
-    row0 = _exponents(ctx, n, label.flat, n)  # row 0 of B meets column 0 of the label
+    row0 = characters._exponents(ctx, n, label.flat, n)  # row 0 of B meets column 0 of the label
     # entry (i, j) becomes a[i, j + 1]; the last column lies past the n^2 - n digits read
-    rest = _exponents(ctx, n, label.flat[1:] + (0,), n * n - n)
+    rest = characters._exponents(ctx, n, label.flat[1:] + (0,), n * n - n)
     is_gl = bytes(r == n for r in range(256))
     blocks = _rank_blocks(ctx, n)
     copies = collections.Counter(zip(blocks, rest))
@@ -210,7 +209,7 @@ def eigenvalue_charsum(label: Matrix, cap: int = DEFAULT_ENUM_CAP) -> int:
     for (block, s), k in copies.items():
         for e, c in hists[block].items():
             counts[(e + s) % p] += k * c
-    return Cyclotomic.from_exponent_counts(p, counts).to_int()
+    return cyclotomic.Cyclotomic.from_exponent_counts(p, counts).to_int()
 
 
 def eigenvalue_charsum_rank(ctx: FieldContext, n: int, r: int, cap: int = DEFAULT_ENUM_CAP) -> int:

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitgraph import enumerate_matrices, field, gl_order, matrix_to_index
 from unitgraph import cli
@@ -277,8 +279,8 @@ def test_gap_subset_file_index_out_of_range(capsys, tmp_path, index):
 
 
 def test_gap_cli_index_path_matches_the_list_path(capsys):
-    # the CLI scans the views random_subset draws; plain lists of the same
-    # matrices must give the same reports
+    # the CLI scans lazily drawn views; plain lists of the matrices that
+    # random_subset draws from the same seeds must give the same reports
     from unitgraph import check_spectral_gap, field_of_order, random_subset
 
     code, out, _ = run(
@@ -294,30 +296,26 @@ def test_gap_cli_index_path_matches_the_list_path(capsys):
     assert json.loads(out) == {"q": 3, "n": 3, "reports": reports}
 
 
-def test_gap_cli_draws_through_random_subset(capsys, monkeypatch):
-    # X through random_subset, read in full; Y from the same trial generator,
-    # drawn only as far as the scan reads it
+def test_gap_cli_draws_x_and_y_lazily(capsys, monkeypatch):
+    # X and Y from the same trial generator, each drawn only as far as the
+    # scan reads it; X's unread tail is counted before Y's first draw
     from unitgraph import gap as gap_mod
 
-    draws, samples = [], []
-    draw, sample = gap_mod.random_subset, gap_mod._lazy_sample
-
-    def spy(*args):
-        draws.append(args)
-        return draw(*args)
+    samples = []
+    sample = gap_mod._lazy_sample
 
     def sample_spy(rng, total, k):
         samples.append((rng, sample(rng, total, k)))
         return samples[-1][1]
 
-    monkeypatch.setattr(gap_mod, "random_subset", spy)
     monkeypatch.setattr(gap_mod, "_lazy_sample", sample_spy)
     code, out, _ = run(capsys, "gap", "--q", "2", "--random-size", "75", "--trials", "3")
     assert code == 0 and len(out.splitlines()) == 3
-    assert len(draws) == 3 and len(samples) == 6  # X of each trial; X and Y
-    for (_, _, _, rng), (x_rng, _), (y_rng, ys) in zip(draws, samples[::2], samples[1::2]):
-        assert x_rng is y_rng is rng
-        assert type(ys) is gap_mod._LazySample and len(ys) == 75 and len(ys._picks) < 75
+    assert len(samples) == 6 and len({id(rng) for rng, _ in samples}) == 3  # X and Y of each trial
+    for (x_rng, xs), (y_rng, ys) in zip(samples[::2], samples[1::2]):
+        assert x_rng is y_rng and type(xs) is type(ys) is gap_mod._LazySample
+        assert len(xs) == len(ys) == 75 and len(xs._picks) < 75 and len(ys._picks) < 75
+        assert xs._tail is not None and ys._tail is None
 
 
 def _gap_reports_of_sampled_lists(q, size, seeds):
@@ -971,3 +969,30 @@ def test_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *GOLDEN_RUNS[name])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_RUNS if n.endswith(".json")))
+def test_the_json_writer_equals_json_dumps_on_every_golden_payload(name):
+    args = cli.build_parser().parse_args(GOLDEN_RUNS[name])
+    payload = args.func(args)[0]
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+# keys with quotes, backslashes, control characters and non-ASCII text, which
+# json writes as escapes
+_JSON_KEYS = st.text(max_size=4) | st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"]
+)
+_JSON_SCALARS = (
+    st.integers(-(2**70), 2**70) | st.booleans() | st.none() | st.text(max_size=4)
+    | st.floats() | st.sampled_from([{}, [], ()])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_JSON_SCALARS, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_KEYS, inner, max_size=4)
+), max_leaves=40))
+def test_the_json_writer_equals_json_dumps_on_nested_values(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)

@@ -571,14 +571,66 @@ def test_lazy_sample_prefix_reads_draw_no_further_than_rng_sample():
                 assert drawn[stop - 1] == expected[stop - 1] and len(drawn._picks) == stop
 
 
+def _pair_reads(seed, total, k):
+    """A lazy pair read in several orders: every read equals two successive
+    rng.sample calls, and full reads leave the generator where they leave it."""
+    ref = random.Random(seed)
+    expected = ref.sample(range(total), k), ref.sample(range(total), k)
+    state = ref.getstate()
+    for order in ("x head, y, x", "y first", "x far index first", "slices", "iteration"):
+        rng = random.Random(seed)
+        xs, ys = gap_mod._lazy_pair(rng, total, k)
+        if type(xs) is gap_mod._LazySample:
+            assert not xs._picks and xs._tail is not None, (total, k)  # counted, not ordered
+        if order == "x head, y, x" and k:
+            assert xs[0] == expected[0][0], (total, k)
+        if order == "x far index first" and k:
+            assert xs[k - 1] == expected[0][k - 1], (total, k)
+        if order == "slices":
+            for part in (slice(2, 5), slice(k // 3, k - 1, 2), slice(-4, 1, -1), slice(None, None, -1)):
+                assert (xs[part], ys[part]) == (expected[0][part], expected[1][part]), (total, k, part)
+        if order == "iteration":
+            read = list(xs), list(ys)
+        else:  # Y in full, then X
+            y_read = [ys[j] for j in range(k)]
+            read = [xs[j] for j in range(k)], y_read
+        assert len(xs) == len(ys) == k and read == expected, (total, k, order)
+        assert rng.getstate() == state, (total, k, order)
+
+
+def test_lazy_pair_matches_two_rng_samples_in_any_order_at_every_width():
+    for bits in range(5, 33):
+        for total in (2**bits - 1, 2**bits, 2**bits + 1):
+            for k in (0, 1, 2, 5, 6, 40, 300):
+                if k < total:
+                    for seed in range(2):
+                        _pair_reads(seed, total, k)
+
+
+def test_lazy_pair_draws_eagerly_in_every_fallback_branch():
+    # another generator, sample's pool branch and a total past 32 bits:
+    # both subsets are two rng.sample calls, X as well as Y
+    class Subclass(random.Random):
+        pass
+
+    for make, total, k in ((Subclass, 19683, 759), (random.Random, 85, 6), (random.Random, 2**32, 5)):
+        rng, ref = make(1), make(1)
+        xs, ys = gap_mod._lazy_pair(rng, total, k)
+        assert type(xs) is type(ys) is list, (total, k)
+        assert (xs, ys) == (ref.sample(range(total), k), ref.sample(range(total), k))
+        assert rng.getstate() == ref.getstate()
+
+
 def test_a_head_block_witness_leaves_y_mostly_undrawn():
     # the table scan reads Y's first 8 matrices first; a witness there
-    # draws those 8, and a drawn view builds no duplicate set
+    # draws those 8 and orders at most X's first 8, and a drawn view
+    # builds no duplicate set
     for seed in range(4):
         rng, ref = random.Random(seed), random.Random(seed)
         xs, ys = gap_mod._random_pair(F3, 3, 759, rng)
         report = check_spectral_gap(xs, ys)
-        assert xs.indices == ref.sample(range(3**9), 759)
+        assert len(xs.indices._picks) <= 8
+        assert list(xs.indices) == ref.sample(range(3**9), 759)
         assert type(ys.indices) is gap_mod._LazySample and len(ys) == 759
         assert report.witness[1] in ys[:8] and len(ys.indices._picks) == 8
         assert ys.indices[:8] == ref.sample(range(3**9), 759)[:8]

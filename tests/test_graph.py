@@ -536,8 +536,8 @@ def test_odd_p_reuse_needs_the_basis_check(monkeypatch):
 
 def spied_exponents(monkeypatch):
     """The labels whose exponents get built from here on, in order."""
+    from unitgraph import characters as characters_mod
     from unitgraph import graph as graph_mod
-    from unitgraph import spectra as spectra_mod
 
     labels = []
 
@@ -546,7 +546,7 @@ def spied_exponents(monkeypatch):
         return _exponents(ctx, n, label_flat, digits)
 
     monkeypatch.setattr(graph_mod, "_exponents", spy)
-    monkeypatch.setattr(spectra_mod, "_exponents", spy)
+    monkeypatch.setattr(characters_mod, "_exponents", spy)
     return labels
 
 

@@ -69,8 +69,8 @@ def _cli(*argv: str) -> str:
         ),
         (
             _cli("gap", "--q", "2", "--random-size", "3", "--seed", "1"),
-            {"unitgraph.gap"},
-            {"dataclasses", "unitgraph.graph"},
+            {"unitgraph.gap", "unitgraph.spectra"},
+            {"dataclasses", "unitgraph.graph", "unitgraph.characters", "unitgraph.cyclotomic"},
         ),
     ],
     ids=["import", "census", "charsum", "verify", "gap"],
